@@ -28,13 +28,17 @@ main()
                 static_cast<long long>(baseline.resources.dsp));
 
     // Automated DSE under the edge-device budget (paper Section V-E).
-    DesignSpaceOptions space;
-    space.maxTileSize = 16;
-    space.maxTotalUnroll = 128;
-    DSEOptions options;
-    options.numInitialSamples = 60;
-    options.maxIterations = 120;
-    auto result = compiler.optimize(xc7z020(), space, options);
+    ExploreRequest request;
+    request.budgetSpec = "xc7z020";
+    request.space.maxTileSize = 16;
+    request.space.maxTotalUnroll = 128;
+    request.dse.numInitialSamples = 60;
+    request.dse.maxIterations = 120;
+    if (auto invalid = request.validate()) {
+        std::printf("bad request: %s\n", invalid->c_str());
+        return 1;
+    }
+    auto result = compiler.optimize(request);
     if (!result) {
         std::printf("DSE found no feasible design\n");
         return 1;

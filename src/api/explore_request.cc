@@ -46,6 +46,25 @@ unsignedDiagnostic(const std::string &name, const std::string &value)
 
 } // namespace
 
+std::string
+decodeJsonUnsigned(const JsonValue &object, const char *key,
+                   unsigned &field)
+{
+    const JsonValue *value = object.get(key);
+    if (!value)
+        return "";
+    // A number's literal text goes through the CLI decoder verbatim, so
+    // 2.9, -1, 1e300 and 4294967300 are rejected exactly as the
+    // matching flag values are.
+    std::optional<unsigned> parsed;
+    if (value->isNumber())
+        parsed = decodeUnsigned(value->string);
+    if (!parsed)
+        return unsignedDiagnostic(key, value->string);
+    field = *parsed;
+    return "";
+}
+
 ExploreRequest &
 ExploreRequest::applyEnvDefaults()
 {
@@ -56,7 +75,7 @@ ExploreRequest::applyEnvDefaults()
     dse.cacheLoadPath = defaultCacheSnapshotPath();
     dse.cacheSavePath = defaultCacheSnapshotPath();
     // $SCALEHLS_DSE_AUDIT -> L3/L4 auditors on every fast-path decision.
-    dse.auditMode = EvaluatorOptions::dseAuditEnvDefault();
+    dse.auditMode = dseAuditEnvDefault();
     return *this;
 }
 
@@ -131,13 +150,9 @@ parseExploreFlag(ExploreRequest &request, const std::string &arg,
     } else if (name == "-dse-model") {
         request.model = value;
     } else if (name == "-dse-graph-level") {
-        auto parsed = decodeUnsigned(value);
-        if (!parsed) {
-            if (error)
-                *error = unsignedDiagnostic(name, value);
-            return true;
-        }
-        request.graphLevel = static_cast<int>(*parsed);
+        unsigned level = static_cast<unsigned>(request.graphLevel);
+        set_unsigned(level);
+        request.graphLevel = static_cast<int>(level);
     } else if (name == "-dse-threads") {
         set_unsigned(request.dse.numThreads);
     } else if (name == "-dse-batch") {
@@ -150,14 +165,6 @@ parseExploreFlag(ExploreRequest &request, const std::string &arg,
         set_unsigned(request.dse.maxIterations);
     } else if (name == "-dse-cache") {
         set_bool(request.dse.crossPointCache);
-    } else if (name == "-dse-band-cache") {
-        set_bool(request.dse.bandLevelCache);
-    } else if (name == "-dse-partition-keys") {
-        set_bool(request.dse.partitionAwareBandKeys);
-    } else if (name == "-dse-incremental") {
-        set_bool(request.dse.incrementalMaterialize);
-    } else if (name == "-dse-dataflow-fastpath") {
-        set_bool(request.space.dataflowFastPath);
     } else if (name == "-dse-cache-cap") {
         request.cacheCapSpec = value;
     } else if (name == "-cache-load" || name == "--cache-load") {
@@ -192,55 +199,32 @@ exploreRequestFromJson(ExploreRequest &request, const JsonValue &object)
         field = value->string;
     };
     auto count = [&](const char *key, unsigned &field) {
-        const JsonValue *value = object.get(key);
-        if (!value)
-            return;
-        if (!value->isNumber() || value->number < 0 ||
-            value->asInt() >
-                static_cast<int64_t>(
-                    std::numeric_limits<unsigned>::max())) {
-            if (error.empty())
-                error = unsignedDiagnostic(
-                    key, value->isNumber()
-                             ? std::to_string(value->asInt())
-                             : value->string);
-            return;
-        }
-        field = static_cast<unsigned>(value->asInt());
+        std::string diagnostic = decodeJsonUnsigned(object, key, field);
+        if (error.empty())
+            error = std::move(diagnostic);
     };
     auto flag = [&](const char *key, bool &field) {
         const JsonValue *value = object.get(key);
-        if (!value)
-            return;
-        if (value->kind == JsonValue::Kind::Bool) {
+        if (value && value->kind == JsonValue::Kind::Bool) {
             field = value->boolean;
             return;
         }
-        if (!value->isNumber()) {
-            if (error.empty())
-                error = unsignedDiagnostic(key, value->string);
-            return;
-        }
-        field = value->asInt() != 0;
+        unsigned parsed = field;
+        count(key, parsed);
+        field = parsed != 0;
     };
 
     str("budget", request.budgetSpec);
     str("model", request.model);
-    if (const JsonValue *level = object.get("graph_level")) {
-        if (!level->isNumber())
-            return "graph_level must be a number";
-        request.graphLevel = static_cast<int>(level->asInt());
-    }
+    unsigned graph_level = static_cast<unsigned>(request.graphLevel);
+    count("graph_level", graph_level);
+    request.graphLevel = static_cast<int>(graph_level);
     count("threads", request.dse.numThreads);
     count("seed", request.dse.seed);
     count("samples", request.dse.numInitialSamples);
     count("iterations", request.dse.maxIterations);
     count("batch", request.dse.batchSize);
     flag("cache", request.dse.crossPointCache);
-    flag("band_cache", request.dse.bandLevelCache);
-    flag("partition_keys", request.dse.partitionAwareBandKeys);
-    flag("incremental", request.dse.incrementalMaterialize);
-    flag("dataflow_fastpath", request.space.dataflowFastPath);
     flag("audit", request.dse.auditMode);
     str("cache_cap", request.cacheCapSpec);
     return error;
@@ -271,15 +255,6 @@ exploreFlagUsage()
            "  -dse-iterations=<n>  step-4 proposal budget (default 400)\n"
            "  -dse-cache=<0|1>  cross-point estimate cache (default 1;\n"
            "                    content-keyed, never changes results)\n"
-           "  -dse-band-cache=<0|1>  band-level estimate-cache tier\n"
-           "                    (default 1)\n"
-           "  -dse-partition-keys=<0|1>  partition-aware band keys\n"
-           "                    (default 1)\n"
-           "  -dse-incremental=<0|1>  band-incremental materialization\n"
-           "                    (default 1; validated, bit-identical)\n"
-           "  -dse-dataflow-fastpath=<0|1>  extend the fast path to\n"
-           "                    dataflow-top / alloc-carrying functions\n"
-           "                    (default 1; validated, bit-identical)\n"
            "  -dse-cache-cap=<n|f:b:s:p>  max entries per estimate-\n"
            "                    cache tier (LRU eviction; default 0 =\n"
            "                    unbounded)\n"

@@ -83,20 +83,27 @@ struct ExploreRequest
  *
  * Flags: -dse-budget, -dse-model, -dse-graph-level, -dse-threads,
  * -dse-batch, -dse-seed, -dse-samples, -dse-iterations, -dse-cache,
- * -dse-band-cache, -dse-partition-keys, -dse-incremental,
- * -dse-dataflow-fastpath, -dse-cache-cap, -cache-load, -cache-save,
- * -dse-audit. */
+ * -dse-cache-cap, -cache-load, -cache-save, -dse-audit. */
 bool parseExploreFlag(ExploreRequest &request, const std::string &arg,
                       std::string *error);
 
 /** Decode the explore fields of a JSON request object (the
  * scalehls-serve protocol: "budget", "model", "graph_level", "threads",
- * "seed", "samples", "iterations", "batch", "cache", "band_cache",
- * "partition_keys", "incremental", "dataflow_fastpath", "cache_cap",
+ * "seed", "samples", "iterations", "batch", "cache", "cache_cap",
  * "audit"). Unknown members are ignored (they belong to the enclosing
  * protocol). Returns "" on success, else the shared diagnostic. */
 std::string exploreRequestFromJson(ExploreRequest &request,
                                    const JsonValue &object);
+
+/** The one checked integral decode of a JSON member: member @p key of
+ * @p object must be a number whose literal the CLI would accept as
+ * "-flag=<literal>" (digits only, fits in `unsigned`), so 2.9, -1,
+ * 1e300 and 4294967300 are rejected, never truncated or wrapped.
+ * Leaves @p field untouched when the member is absent. Returns "" on
+ * success, else the shared "<key> expects an unsigned integer"
+ * diagnostic. */
+std::string decodeJsonUnsigned(const JsonValue &object, const char *key,
+                               unsigned &field);
 
 /** The usage text of the shared explore flags (kept next to the parser
  * so tools cannot document flags the parser does not accept). */

@@ -255,24 +255,6 @@ Compiler::applySimplifications()
     return *this;
 }
 
-namespace {
-
-/** Bridge the deprecated {budget, space, options} overloads onto the
- * unified request (the budget is already resolved, so no validate()). */
-ExploreRequest
-requestFrom(const ResourceBudget &budget, DesignSpaceOptions space_options,
-            DSEOptions options)
-{
-    ExploreRequest request;
-    request.budgetSpec = budget.name;
-    request.budget = budget;
-    request.space = space_options;
-    request.dse = std::move(options);
-    return request;
-}
-
-} // namespace
-
 std::optional<DSEResult>
 Compiler::optimize(const ExploreRequest &request)
 {
@@ -283,23 +265,6 @@ Compiler::optimize(const ExploreRequest &request)
         opt_seconds_ += result->seconds;
     }
     return result;
-}
-
-std::optional<DSEResult>
-Compiler::optimize(const ResourceBudget &budget,
-                   DesignSpaceOptions space_options, DSEOptions options)
-{
-    return optimize(
-        requestFrom(budget, space_options, std::move(options)));
-}
-
-std::vector<Compiler::FuncDSEResult>
-Compiler::optimizeFunctions(const ResourceBudget &budget,
-                            DesignSpaceOptions space_options,
-                            DSEOptions options)
-{
-    return optimizeFunctions(
-        requestFrom(budget, space_options, std::move(options)));
 }
 
 std::vector<Compiler::FuncDSEResult>
@@ -409,15 +374,6 @@ Compiler::optimizeFunctions(const ExploreRequest &request)
 }
 
 std::optional<Compiler::ModelDSEResult>
-Compiler::optimizeModel(const ResourceBudget &budget,
-                        DesignSpaceOptions space_options,
-                        DSEOptions options)
-{
-    return optimizeModel(
-        requestFrom(budget, space_options, std::move(options)));
-}
-
-std::optional<Compiler::ModelDSEResult>
 Compiler::optimizeModel(const ExploreRequest &request)
 {
     const ResourceBudget &budget = request.budget;
@@ -461,9 +417,7 @@ Compiler::optimizeModel(const ExploreRequest &request)
     // control logic) are derived by SUBTRACTION, so the composed
     // prediction mirrors the estimator's dataflow composition exactly
     // rather than approximating it.
-    QoREstimator baseline(module_.get(), &est_pool, shared,
-                          options.bandLevelCache,
-                          options.partitionAwareBandKeys);
+    QoREstimator baseline(module_.get(), &est_pool, shared);
     QoRResult m0 = baseline.estimateModule();
     std::vector<QoRResult> base(n);
     int64_t glue = m0.latency;
@@ -618,9 +572,7 @@ Compiler::optimizeModel(const ExploreRequest &request)
     // measured QoR is authoritative — the composed prediction is only
     // trusted when it matches bit-identically.
     auto errors = verifyErrors(module_.get());
-    QoREstimator measure(module_.get(), &est_pool, shared,
-                         options.bandLevelCache,
-                         options.partitionAwareBandKeys);
+    QoREstimator measure(module_.get(), &est_pool, shared);
     out.measured = measure.estimateModule();
     out.composedVerified =
         out.measured.latency == out.composed.latency &&

@@ -71,11 +71,6 @@ class Compiler
      * validate() (the Compiler uses the resolved `request.budget`). */
     std::optional<DSEResult> optimize(const ExploreRequest &request);
 
-    [[deprecated("build an ExploreRequest and call "
-                 "optimize(const ExploreRequest &)")]] std::optional<DSEResult>
-    optimize(const ResourceBudget &budget,
-             DesignSpaceOptions space_options = {}, DSEOptions options = {});
-
     /** Per-function outcome of optimizeFunctions. `qor.feasible` tells
      * whether a design fitting the kernel's budget share was found (an
      * infeasible result carries the kInfeasibleQoR sentinel). */
@@ -104,12 +99,6 @@ class Compiler
      * deterministic for a fixed seed at any thread count. */
     std::vector<FuncDSEResult> optimizeFunctions(
         const ExploreRequest &request);
-
-    [[deprecated("build an ExploreRequest and call optimizeFunctions("
-                 "const ExploreRequest &)")]] std::vector<FuncDSEResult>
-    optimizeFunctions(const ResourceBudget &budget,
-                      DesignSpaceOptions space_options = {},
-                      DSEOptions options = {});
 
     /** Per-stage outcome of optimizeModel: one entry per call in the
      * dataflow top's body, in body order. */
@@ -169,12 +158,6 @@ class Compiler
      * `allocation.feasible == false` and the module untouched.
      * Deterministic for a fixed seed at any thread count. */
     std::optional<ModelDSEResult> optimizeModel(const ExploreRequest &request);
-
-    [[deprecated("build an ExploreRequest and call optimizeModel("
-                 "const ExploreRequest &)")]] std::optional<ModelDSEResult>
-    optimizeModel(const ResourceBudget &budget,
-                  DesignSpaceOptions space_options = {},
-                  DSEOptions options = {});
 
     /** Fast analytical QoR estimate of the current module. */
     QoRResult estimate();

@@ -23,15 +23,15 @@ struct RequestError : std::runtime_error
     using std::runtime_error::runtime_error;
 };
 
-int64_t
-intField(const JsonValue &req, const char *key, int64_t fallback)
+/** An unsigned protocol field, decoded exactly as the explore fields
+ * are (so -1 or 2.9 are rejected, never wrapped or truncated). */
+unsigned
+unsignedField(const JsonValue &req, const char *key, unsigned fallback)
 {
-    const JsonValue *value = req.get(key);
-    if (!value)
-        return fallback;
-    if (!value->isNumber())
-        throw RequestError(std::string(key) + " must be a number");
-    return value->asInt();
+    std::string error = decodeJsonUnsigned(req, key, fallback);
+    if (!error.empty())
+        throw RequestError(error);
+    return fallback;
 }
 
 std::string
@@ -254,7 +254,7 @@ ServeSession::handleKernelRequest(const JsonValue &req,
             throw RequestError("no kernel named \"" + which->string +
                                "\" in " + request.model);
     } else {
-        index = static_cast<size_t>(intField(req, "kernel", 0));
+        index = unsignedField(req, "kernel", 0);
         kernels = buildDNNKernelModules(request.model, request.graphLevel,
                                         index + 1);
         if (index >= kernels.size())
@@ -318,7 +318,9 @@ ServeSession::handlePolybenchRequest(const JsonValue &req,
                                      const std::string &id)
 {
     std::string kernel = strField(req, "kernel", "gemm");
-    int64_t size = intField(req, "size", 16);
+    unsigned size = unsignedField(req, "size", 16);
+    if (size == 0)
+        throw RequestError("size must be positive");
     ExploreRequest request = exploreRequestFrom(
         req, &cache_, options_.defaultThreads, "");
 

@@ -12,10 +12,8 @@
 namespace scalehls {
 
 BandPlanner::BandPlanner(const DesignSpace &space,
-                         EstimateCache *estimates, bool masked_band_keys,
-                         bool audit)
-    : space_(space), estimates_(estimates),
-      masked_band_keys_(masked_band_keys), audit_(audit)
+                         EstimateCache *estimates, bool audit)
+    : space_(space), estimates_(estimates), audit_(audit)
 {
     if (!estimates_)
         return;
@@ -33,8 +31,6 @@ BandPlanner::BandPlanner(const DesignSpace &space,
     if (fd.pipeline)
         return;
     dataflow_top_ = fd.dataflow;
-    if (dataflow_top_ && !space_.spaceOptions().dataflowFastPath)
-        return;
     for (auto &op : funcBody(func_)->ops()) {
         if (op->is(ops::AffineFor) || op->is(ops::Constant) ||
             op->is(ops::Alloc) || op->is(ops::Return))
@@ -487,8 +483,7 @@ BandPlanner::overlayEvaluate(const DesignSpace::Decoded &d,
         if (!out.auditFindings.empty())
             return out;
     }
-    QoREstimator estimator(overlay_module.get(), nullptr, estimates_,
-                           /*band_cache=*/true, masked_band_keys_);
+    QoREstimator estimator(overlay_module.get(), nullptr, estimates_);
     estimator.estimateFunc(overlay_func);
     const auto &band_estimates = estimator.lastBandEstimates();
 

@@ -35,12 +35,12 @@ namespace scalehls {
  *
  * Eligibility is decided once, at construction, on the PRISTINE
  * function; it mirrors DesignSpace::fastPathEligible (no pipelined top,
- * dataflow only when the dataflow fast path is on, flat body of bands +
- * constants + allocs + return, every alloc owned) and additionally
- * requires every alloc to live at flat scope — pipelining's full unroll
- * would duplicate in-band allocs and diverge the ownership list the
- * plan keys bake in — and every band to be plan-seedable. An ineligible
- * kernel simply disables the planner; the legacy paths are untouched. */
+ * flat body of bands + constants + allocs + return, every alloc owned)
+ * and additionally requires every alloc to live at flat scope —
+ * pipelining's full unroll would duplicate in-band allocs and diverge
+ * the ownership list the plan keys bake in — and every band to be
+ * plan-seedable. An ineligible kernel simply disables the planner; the
+ * legacy paths are untouched. */
 class BandPlanner
 {
   public:
@@ -75,12 +75,11 @@ class BandPlanner
     };
 
     /** @p estimates (required, not owned) must outlive the planner.
-     * @p masked_band_keys is forwarded to the overlay estimator's band
-     * tier (EvaluatorOptions::partitionAwareKeys). @p audit enables the
-     * L3/L4 auditors (overlay aliasing, schedule-entry shape, overlay IR
-     * verification) on every decision this planner takes. */
+     * @p audit enables the L3/L4 auditors (overlay aliasing,
+     * schedule-entry shape, overlay IR verification) on every decision
+     * this planner takes. */
     BandPlanner(const DesignSpace &space, EstimateCache *estimates,
-                bool masked_band_keys, bool audit = false);
+                bool audit = false);
 
     /** False when the pristine kernel is not plan-eligible; evaluate()
      * then always falls back. */
@@ -111,7 +110,6 @@ class BandPlanner
 
     const DesignSpace &space_;
     EstimateCache *estimates_ = nullptr;
-    bool masked_band_keys_ = true;
     bool audit_ = false;
     bool enabled_ = false;
 

@@ -228,11 +228,11 @@ DesignSpace::fastPathEligible(Partial &partial) const
     // its soundness argument needs every cleanup pass to be band-local.
     // That holds exactly when: the top function carries no pipeline
     // directive (a dataflow top is allowed — its composition is
-    // replayed — unless disabled for A/B comparison); the function body
-    // is bands + constants + allocs + return only (no flat-scope
-    // accesses, calls or control flow — constants are latency-free and
-    // excluded from the compute account, so flat-scope cleanup cannot
-    // move the QoR); and every alloc is OWNED (bandLocalAllocs): its
+    // replayed); the function body is bands + constants + allocs +
+    // return only (no flat-scope accesses, calls or control flow —
+    // constants are latency-free and excluded from the compute account,
+    // so flat-scope cleanup cannot move the QoR); and every alloc is
+    // OWNED (bandLocalAllocs): its
     // users are plain loads/stores confined to bands, so the one
     // cross-band cleanup — removeWriteOnlyBuffers — reduces to the
     // per-buffer kept/dead verdict the ownership notes fold into each
@@ -243,8 +243,6 @@ DesignSpace::fastPathEligible(Partial &partial) const
     // their band undigestable (per-band mask).
     FuncDirective fd = getFuncDirective(partial.func);
     if (fd.pipeline)
-        return false;
-    if (fd.dataflow && !options_.dataflowFastPath)
         return false;
     for (auto &op : funcBody(partial.func)->ops()) {
         if (op->is(ops::AffineFor) || op->is(ops::Constant) ||

@@ -25,12 +25,6 @@ struct DesignSpaceOptions
     int64_t maxTileSize = 64;      ///< Per-loop tile (unroll) cap.
     int64_t maxTotalUnroll = 512;  ///< Cap on the tile-size product PER BAND.
     int64_t maxII = 64;            ///< Largest candidate target II.
-    /** Band-incremental fast path on dataflow-top functions: replay the
-     * stage-overlap composition (interval = slowest stage, double-
-     * buffered channel memory) from cached per-band entries. Validated
-     * and bit-identical like the sequential fast path; off restricts the
-     * fast path to sequential tops (A/B comparison). */
-    bool dataflowFastPath = true;
 };
 
 /** The tunable design space of a kernel function with one or more
@@ -199,7 +193,7 @@ class DesignSpace
     Operation *pristineModule() const { return pristine_.get(); }
 
     /** The option set the space was built with (the planner must mirror
-     * the materializer's eligibility rules, e.g. dataflowFastPath). */
+     * the materializer's rules, e.g. the maxTotalUnroll rejection). */
     const DesignSpaceOptions &spaceOptions() const { return options_; }
 
   private:

@@ -45,15 +45,8 @@ DSEEngine::explore()
         estimates ? estimates->scheduleLookups() : 0;
     size_t cross_band_before = estimates ? estimates->crossBandHits() : 0;
 
-    EvaluatorOptions evaluator_options;
-    evaluator_options.bandCache = options_.bandLevelCache;
-    evaluator_options.partitionAwareKeys =
-        options_.partitionAwareBandKeys;
-    evaluator_options.incremental = options_.incrementalMaterialize;
-    evaluator_options.planFirst = options_.planFirstEvaluation;
-    evaluator_options.audit = options_.auditMode;
     evaluator_ = std::make_unique<CachingEvaluator>(
-        space_, pool_.get(), estimates, evaluator_options);
+        space_, pool_.get(), estimates, options_.auditMode);
     // Keep the winning module so finalization does not re-materialize
     // the point it just evaluated.
     evaluator_->retainBestModule(finalize_budget_);
@@ -178,9 +171,7 @@ DSEEngine::materializeEvaluated(const EvaluatedPoint &chosen)
     // check the module really carries the QoR the frontier promised —
     // this also end-to-end-verifies any fast-path composition that fed
     // the chosen point's cached result.
-    QoREstimator estimator(module.get(), pool_.get(), estimates_in_use_,
-                           options_.bandLevelCache,
-                           options_.partitionAwareBandKeys);
+    QoREstimator estimator(module.get(), pool_.get(), estimates_in_use_);
     QoRResult check = estimator.estimateModule();
     if (!check.feasible) {
         check.latency = kInfeasibleQoR;

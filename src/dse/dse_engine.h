@@ -41,45 +41,17 @@ struct DSEOptions
      * design points whose function content is identical (keyed by
      * function name + directive/structure digest). Purely a wall-clock
      * optimization — keys are content-derived, so hits return exactly
-     * what recomputation would. */
+     * what recomputation would. Every tier (function, band, schedule,
+     * plan) and every fast path rides on this cache; off selects the
+     * uncached reference path (full materialization of every point). */
     bool crossPointCache = true;
-    /** Band-level tier of the estimate cache: additionally reuse
-     * per-band estimates between points that differ only INSIDE another
-     * band of the same function (keyed by a self-contained band digest,
-     * so digest-identical bands share even across functions). Same
-     * content-keyed guarantee: never changes results. No effect when
-     * crossPointCache is off and no external cache is supplied. */
-    bool bandLevelCache = true;
-    /** Partition-aware band keys: mask external memref layout dims the
-     * band's estimate provably never reads out of the band digest, so
-     * retuning band B no longer invalidates band A's cached estimate
-     * just because it repartitioned a shared array along a dim A never
-     * separates banks on. Content-keyed on everything the estimate can
-     * read — never changes results. Off = the partition-sensitive PR 3
-     * keying (kept for A/B comparison). */
-    bool partitionAwareBandKeys = true;
-    /** Band-incremental materialization: a cache-miss point whose bands
-     * all hit the schedule tier (phase-1 digests) skips function-wide
-     * cleanup, array partition and the estimator walk, composing its QoR
-     * from cached per-band entries (validated, bit-identical). Requires
-     * the band cache. */
-    bool incrementalMaterialize = true;
-    /** Plan-first evaluation: predict each band's phase-1 digest from
-     * the pristine kernel and the decoded choice through the PLAN cache
-     * tier, compose fully predicted points with ZERO IR built, and
-     * materialize partial misses through copy-on-write overlays that
-     * rebuild only the missed bands. Predictions are validated against
-     * every overlay materialization (mismatches fall back to the full
-     * pipeline), so results never change. Requires
-     * incrementalMaterialize + the band cache. */
-    bool planFirstEvaluation = true;
     /** Audit mode (`-dse-audit` / SCALEHLS_DSE_AUDIT): run the L3/L4
      * auditors — overlay aliasing, overlay IR verification, band digest
      * coherence, schedule-entry shape — at every fast-path decision of
      * the evaluator. A finding is counted, reported on stderr, and
      * forces the affected point onto the validated slow path, so an
      * audited run can be slower but never wrong. */
-    bool auditMode = EvaluatorOptions::dseAuditEnvDefault();
+    bool auditMode = dseAuditEnvDefault();
     /** Max entries PER TIER of the engine-owned estimate cache (coarse
      * LRU eviction; 0 = unbounded). Bounds memory on week-long sweeps
      * without changing results; external sharedEstimates caches are the

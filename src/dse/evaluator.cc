@@ -10,7 +10,7 @@
 namespace scalehls {
 
 bool
-EvaluatorOptions::dseAuditEnvDefault()
+dseAuditEnvDefault()
 {
     if (const char *env = std::getenv("SCALEHLS_DSE_AUDIT"))
         return std::string_view(env) != "0";
@@ -51,7 +51,7 @@ CachingEvaluator::evaluateScheduled(const DesignSpace::Partial &partial)
         entries.push_back(std::move(*entry));
     }
 
-    if (options_.audit) {
+    if (audit_) {
         // L4: re-derive each band's digest from the phase-1 IR and
         // shape-check each entry against the external table that will
         // resolve it. Any finding drops the point to the full pipeline.
@@ -123,8 +123,6 @@ CachingEvaluator::evaluateFresh(const DesignSpace::Point &point,
                                 std::unique_ptr<Operation> *module_out)
 {
     materializations_.fetch_add(1, std::memory_order_relaxed);
-    const bool incremental =
-        options_.incremental && estimates_ && options_.bandCache;
 
     QoRResult result;
     auto finalize = [&](QoRResult qor) {
@@ -176,7 +174,7 @@ CachingEvaluator::evaluateFresh(const DesignSpace::Point &point,
     }
 
     DesignSpace::Partial partial;
-    if (incremental) {
+    if (estimates_) {
         partial = space_.beginMaterialize(point);
         if (partial.module) {
             if (auto composed = evaluateScheduled(partial)) {
@@ -190,8 +188,8 @@ CachingEvaluator::evaluateFresh(const DesignSpace::Point &point,
     }
 
     full_materializations_.fetch_add(1, std::memory_order_relaxed);
-    auto module = incremental ? space_.finishMaterialize(partial)
-                              : space_.materialize(point);
+    auto module = estimates_ ? space_.finishMaterialize(partial)
+                             : space_.materialize(point);
     if (!module) {
         result.latency = kInfeasibleQoR;
         result.interval = kInfeasibleQoR;
@@ -199,14 +197,12 @@ CachingEvaluator::evaluateFresh(const DesignSpace::Point &point,
         return result;
     }
 
-    QoREstimator estimator(module.get(), pool_, estimates_,
-                           options_.bandCache,
-                           options_.partitionAwareKeys);
+    QoREstimator estimator(module.get(), pool_, estimates_);
     result = finalize(estimator.estimateModule());
     // funcEligible (not the all-band `eligible`): a mixed function whose
     // call-carrying bands are masked out still publishes entries for its
     // digestable bands.
-    if (incremental && partial.funcEligible)
+    if (estimates_ && partial.funcEligible)
         insertScheduleEntries(partial, estimator);
     if (module_out)
         *module_out = std::move(module);

@@ -6,6 +6,17 @@
  * pristine module (so evaluations of distinct points are independent) and
  * fans a batch out over a ThreadPool.
  *
+ * There is one evaluation path per cache state. WITHOUT an estimate
+ * cache every memo miss runs the full materialize-and-estimate pipeline:
+ * the uncached reference that tests and the smith oracle compare
+ * against. WITH a cache a miss is decided by the first of these that
+ * applies: the planner's zero-IR composition or infeasibility proof
+ * (PLAN + SCHEDULE tiers), a copy-on-write overlay that rebuilds only
+ * the missed bands, the schedule-composed fast path (phase-1 transforms
+ * + the SCHEDULE tier, taken when the planner falls back), and finally
+ * the full pipeline. Every cached answer is bit-identical to the
+ * reference.
+ *
  * Results are returned BY VALUE: the memo cache is sharded and grows
  * concurrently, so a `const QoRResult&` into it could not survive a
  * neighboring insert. Batch results come back in input order regardless
@@ -49,51 +60,16 @@ class Evaluator
     evaluateBatch(const std::vector<DesignSpace::Point> &points) = 0;
 };
 
-/** Tuning knobs of the default evaluator. */
-struct EvaluatorOptions
-{
-    /** Band-level tier of the estimate cache. */
-    bool bandCache = true;
-    /** Partition-aware band keys: digest external memref layouts only
-     * along dims the band's estimate reads (see
-     * bandEstimateDigestInfo). */
-    bool partitionAwareKeys = true;
-    /** Band-incremental materialization: when every band of a point hits
-     * the schedule tier (and the cross-band partition validation
-     * passes), skip cleanup + array partition + the estimator walk and
-     * compose the QoR from the cached per-band entries. Requires an
-     * estimate cache with the band tier on; results are always
-     * bit-identical to the full path. */
-    bool incremental = true;
-    /** Plan-first evaluation (requires `incremental` + the band tier +
-     * an estimate cache): predict each band's phase-1 digest from the
-     * pristine kernel and the decoded choice (the PLAN cache tier, no
-     * IR built), compose fully predicted points with zero clones, and
-     * materialize partial misses through a copy-on-write overlay that
-     * rebuilds only the missed bands. Predictions are validated against
-     * every overlay materialization (mismatches fall back to the full
-     * pipeline and are counted), so results stay bit-identical. */
-    bool planFirst = true;
-    /** Audit mode (`-dse-audit` / SCALEHLS_DSE_AUDIT): run the L3/L4
-     * auditors (overlay aliasing, cache coherence, schedule-entry shape,
-     * overlay IR verification) at every fast-path decision. A finding is
-     * counted, reported, and forces the slow path — audited runs trade
-     * time for proof, never correctness. */
-    bool audit = dseAuditEnvDefault();
-
-    /** The env default for `audit`: set SCALEHLS_DSE_AUDIT (any value
-     * but "0") to audit every evaluator in the process — how the
-     * sanitizer CI legs switch whole test suites into audit mode. */
-    static bool dseAuditEnvDefault();
-};
+/** The env default of audit mode: set SCALEHLS_DSE_AUDIT (any value
+ * but "0") to audit every evaluator in the process — how the sanitizer
+ * CI legs switch whole test suites into audit mode. */
+bool dseAuditEnvDefault();
 
 /** The default evaluator: materialize + estimate behind a sharded memo
  * cache, batches spread over @p pool (nullptr or a 1-wide pool runs
  * inline). The cache is keyed on the full point vector, so re-probing an
  * already-evaluated point is a lookup, not a re-materialization; a miss
- * first tries the band-incremental fast path (phase-1 transforms + the
- * schedule tier of the estimate cache) before paying for a full
- * materialization.
+ * takes the cheapest applicable path listed in the file comment.
  *
  * An infeasible estimate (unknown trips, call cycles, failed analysis)
  * is returned carrying the kInfeasibleQoR latency/interval sentinel —
@@ -105,22 +81,23 @@ struct EvaluatorOptions
  * per-function results keyed by content digest, shared across every
  * worker (and potentially across evaluators). The pool is also handed to
  * each QoREstimator so multi-function points estimate their callees
- * concurrently (intra-point parallelism). */
+ * concurrently (intra-point parallelism). @p audit (`-dse-audit` /
+ * SCALEHLS_DSE_AUDIT) runs the L3/L4 auditors — overlay aliasing, cache
+ * coherence, schedule-entry shape, overlay IR verification — at every
+ * fast-path decision; a finding is counted, reported, and forces the
+ * slow path, so audited runs trade time for proof, never correctness. */
 class CachingEvaluator : public Evaluator
 {
   public:
     explicit CachingEvaluator(const DesignSpace &space,
                               ThreadPool *pool = nullptr,
                               EstimateCache *estimates = nullptr,
-                              EvaluatorOptions options = {})
-        : space_(space), pool_(pool), estimates_(estimates),
-          options_(options)
+                              bool audit = dseAuditEnvDefault())
+        : space_(space), pool_(pool), estimates_(estimates), audit_(audit)
     {
-        if (options_.planFirst && estimates_ && options_.incremental &&
-            options_.bandCache) {
-            planner_ = std::make_unique<BandPlanner>(
-                space_, estimates_, options_.partitionAwareKeys,
-                options_.audit);
+        if (estimates_) {
+            planner_ = std::make_unique<BandPlanner>(space_, estimates_,
+                                                     audit_);
             if (!planner_->enabled())
                 planner_.reset();
         }
@@ -214,9 +191,9 @@ class CachingEvaluator : public Evaluator
     const DesignSpace &space_;
     ThreadPool *pool_;
     EstimateCache *estimates_ = nullptr;
-    EvaluatorOptions options_;
-    /** Plan-first evaluation over the PLAN cache tier (null when
-     * disabled by options or by the kernel's shape). */
+    bool audit_ = false;
+    /** Plan-first evaluation over the PLAN cache tier (null without an
+     * estimate cache or when the kernel's shape is not plannable). */
     std::unique_ptr<BandPlanner> planner_;
     ConcurrentCache<DesignSpace::Point, QoRResult, OrdinalVectorHash>
         cache_;

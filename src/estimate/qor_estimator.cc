@@ -423,12 +423,12 @@ QoREstimator::estimateBand(Operation *band_root, EstimateContext &ctx)
         return it->second;
 
     // Band tier of the shared cache: content-keyed by the band digest
-    // (partition-aware by default — irrelevant layout dims masked), so a
+    // (partition-aware — irrelevant layout dims masked), so a
     // hit is value-identical to the computation below.
     std::string key;
-    if (shared_ && band_cache_) {
-        if (auto digest =
-                bandEstimateDigestInfo(band_root, masked_band_keys_)) {
+    if (shared_) {
+        if (auto digest = bandEstimateDigestInfo(
+                band_root, /*mask_partitions=*/true)) {
             key = digest->digest;
             if (auto cached =
                     shared_->lookupBand(key, digest->partitionMasked))

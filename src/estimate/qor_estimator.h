@@ -311,17 +311,12 @@ class QoREstimator
 {
   public:
     /** @p pool (optional, not owned) fans callee estimation out;
-     * @p shared (optional, not owned) is the cross-point cache.
-     * @p band_cache additionally enables the band-level tier of
-     * @p shared (no effect without a shared cache); @p masked_band_keys
-     * selects partition-aware band keys (bandEstimateDigestInfo) over
-     * the partition-sensitive PR 3 keying. */
+     * @p shared (optional, not owned) is the cross-point cache, used at
+     * both its function tier and its band tier (partition-aware keys,
+     * see bandEstimateDigestInfo). */
     explicit QoREstimator(Operation *module, ThreadPool *pool = nullptr,
-                          EstimateCache *shared = nullptr,
-                          bool band_cache = true,
-                          bool masked_band_keys = true)
-        : module_(module), pool_(pool), shared_(shared),
-          band_cache_(band_cache), masked_band_keys_(masked_band_keys)
+                          EstimateCache *shared = nullptr)
+        : module_(module), pool_(pool), shared_(shared)
     {}
 
     QoREstimator(const QoREstimator &) = delete;
@@ -435,8 +430,6 @@ class QoREstimator
     Operation *module_;
     ThreadPool *pool_ = nullptr;
     EstimateCache *shared_ = nullptr;
-    bool band_cache_ = true;
-    bool masked_band_keys_ = true;
     EstimateDigests digests_;
     std::map<Operation *, QoRResult> cache_;
     std::map<Operation *, BandEstimate> last_bands_;

@@ -72,14 +72,45 @@ buildPoints(const DesignSpace &space, uint64_t seed, int target)
     return unique;
 }
 
-/** One cached run of the differential matrix. */
-struct RunSpec
+/** Pre-seed every PLAN key @p points consult with a materializable but
+ * never-composable outcome. The planner then falls back on every
+ * point, so misses take the schedule-composed path (warm) or the full
+ * path (cold) — the production route of kernels whose plans cannot
+ * compose. */
+void
+blockPlans(const DesignSpace &space, EstimateCache &cache,
+           const std::vector<DesignSpace::Point> &points)
 {
-    std::string label;
-    EvaluatorOptions options;
-    unsigned threads = 1;
-    bool corrupt = false;
-};
+    BandPlanner planner(space, &cache);
+    BandPlanOutcome blocked;
+    blocked.materializable = true;
+    for (const auto &point : points)
+        for (size_t b = 0; b < space.numBands(); ++b) {
+            std::string key = planner.debugPlanKey(point, b);
+            if (!key.empty())
+                cache.insertPlan(key, blocked);
+        }
+}
+
+/** Poison the PLAN tier for exactly the key the planner will consult on
+ * @p point: a confidently-composable outcome whose digest matches no
+ * real band content. Returns false when the sample is not
+ * plan-eligible. */
+bool
+corruptPlan(const DesignSpace &space, EstimateCache &cache,
+            const DesignSpace::Point &point)
+{
+    BandPlanner planner(space, &cache);
+    std::string key = planner.debugPlanKey(point, 0);
+    if (key.empty())
+        return false;
+    BandPlanOutcome bogus;
+    bogus.materializable = true;
+    bogus.composable = true;
+    bogus.digest = "smith-corrupted-digest";
+    cache.insertPlan(key, bogus);
+    return true;
+}
 
 } // namespace
 
@@ -99,10 +130,9 @@ runSmithOracle(const SmithSample &sample, const SmithOracleConfig &config)
         result.divergences.push_back({path, detail, std::move(point)});
     };
 
-    // Path 1 — the uncached sequential reference: no pool, no estimate
-    // cache, so every point runs the full materialize-and-estimate
-    // pipeline. This is the ground truth the three cached paths must
-    // reproduce bit-for-bit.
+    // The reference: no pool, no estimate cache, so every point runs the
+    // full materialize-and-estimate pipeline. This is the ground truth
+    // the production evaluator must reproduce bit-for-bit.
     std::vector<QoRResult> baseline;
     {
         CachingEvaluator reference(space);
@@ -112,107 +142,62 @@ runSmithOracle(const SmithSample &sample, const SmithOracleConfig &config)
         result.evaluations += points.size();
     }
 
-    // Paths 2-4 at 1 and N threads, each against a FRESH estimate cache
-    // (cross-run reuse would mask per-path bugs behind warm tiers).
-    std::vector<RunSpec> runs;
-    auto pathOptions = [&](bool incremental, bool plan_first) {
-        EvaluatorOptions options;
-        options.bandCache = true;
-        options.incremental = incremental;
-        options.planFirst = plan_first;
-        options.audit = config.audit;
-        return options;
-    };
-    std::vector<unsigned> thread_counts = {1};
-    if (config.threads > 1)
-        thread_counts.push_back(config.threads);
-    for (unsigned threads : thread_counts) {
-        std::string at = "@" + std::to_string(threads) + "t";
-        runs.push_back({"band-cache" + at, pathOptions(false, false),
-                        threads, false});
-        runs.push_back({"sched-composed" + at, pathOptions(true, false),
-                        threads, false});
-        runs.push_back({"plan-first" + at, pathOptions(true, true),
-                        threads,
-                        config.corruptPlan && threads == 1});
-    }
-
-    for (const RunSpec &run : runs) {
-        EstimateCache cache;
-        std::unique_ptr<ThreadPool> pool;
-        if (run.threads > 1)
-            pool = std::make_unique<ThreadPool>(run.threads);
-        CachingEvaluator evaluator(space, pool.get(), &cache,
-                                   run.options);
-
-        bool corrupted = false;
-        if (run.corrupt) {
-            // Poison the PLAN tier for exactly the key the planner will
-            // consult on points[0]: a confidently-composable outcome
-            // whose digest matches no real band content. The system
-            // must CATCH this (digest-mismatch fallback or audit
-            // finding) and still answer with the reference QoR.
-            BandPlanner planner(space, &cache,
-                                run.options.partitionAwareKeys,
-                                run.options.audit);
-            if (planner.enabled()) {
-                std::string key = planner.debugPlanKey(points[0], 0);
-                if (!key.empty()) {
-                    BandPlanOutcome bogus;
-                    bogus.materializable = true;
-                    bogus.composable = true;
-                    bogus.digest = "smith-corrupted-digest";
-                    cache.insertPlan(key, bogus);
-                    corrupted = true;
-                    result.corruptionApplicable = true;
-                }
-            }
-        }
-
+    // One production pass: a fresh evaluator (empty memo) over @p cache.
+    // @p corrupted marks a cache holding the self-test's poisoned entry,
+    // where audit findings are the expected catch, not a divergence.
+    auto runPass = [&](const std::string &label, EstimateCache &cache,
+                       ThreadPool *pool, bool corrupted, bool blocked) {
+        CachingEvaluator evaluator(space, pool, &cache, config.audit);
         std::vector<QoRResult> qors = evaluator.evaluateBatch(points);
         result.evaluations += points.size();
         for (size_t i = 0; i < points.size(); ++i)
             if (!qorEqual(qors[i], baseline[i]))
-                diverge(run.label,
+                diverge(label,
                         "QoR mismatch at point " + pointStr(points[i]) +
                             ": got " + qorStr(qors[i]) + ", reference " +
                             qorStr(baseline[i]),
                         points[i]);
 
+        SmithDecisions pass;
+        pass.full = evaluator.numFullMaterializations();
+        pass.planComposed = evaluator.numPlanComposed();
+        pass.scheduleComposed =
+            evaluator.numFastPathHits() - pass.planComposed;
+        pass.overlay = evaluator.numOverlayMaterializations();
+        pass.planInfeasible = evaluator.numPlanInfeasible();
+        result.decisions += pass;
+
         // Counter invariants (exact, derived from the evaluator's memo
-        // accounting): every memo miss is decided by exactly one of the
-        // four materialization classes or the planner's zero-IR
-        // infeasibility proof, and every batch slot is a miss, a memo
-        // hit, or an in-batch dedup.
+        // accounting): every memo miss is decided by exactly one
+        // decision class, and every batch slot is a miss, a memo hit,
+        // or an in-batch dedup.
         size_t mat = evaluator.numMaterializations();
-        size_t classes = evaluator.numFullMaterializations() +
-                         evaluator.numFastPathHits() +
-                         evaluator.numOverlayMaterializations() +
-                         evaluator.numPlanInfeasible();
+        size_t classes = pass.full + pass.scheduleComposed +
+                         pass.planComposed + pass.overlay +
+                         pass.planInfeasible;
         if (mat != classes)
-            diverge("counters@" + run.label,
+            diverge("counters@" + label,
                     "materializations (" + std::to_string(mat) +
-                        ") != full+fastpath+overlay+planInfeasible (" +
+                        ") != full+schedule+plan+overlay+planInfeasible (" +
                         std::to_string(classes) + ")");
         size_t accounted = mat + evaluator.numCacheHits() +
                            evaluator.numBatchDedups();
         if (accounted != points.size())
-            diverge("counters@" + run.label,
+            diverge("counters@" + label,
                     "batch of " + std::to_string(points.size()) +
                         " accounted as " + std::to_string(accounted) +
                         " (mat+hits+dedups)");
+        if (blocked && (pass.planComposed != 0 || pass.overlay != 0))
+            diverge("counters@" + label,
+                    "planner answered through a blocked plan (" +
+                        std::to_string(pass.planComposed) + " composed, " +
+                        std::to_string(pass.overlay) + " overlay)");
 
         if (corrupted) {
-            bool caught = evaluator.numPlanMismatches() >= 1 ||
-                          evaluator.numAuditViolations() >= 1;
-            result.corruptionCaught |= caught;
-            if (!caught)
-                diverge(run.label,
-                        "corrupted PLAN entry went undetected "
-                        "(no mismatch fallback, no audit finding)",
-                        points[0]);
+            result.corruptionCaught |= evaluator.numPlanMismatches() >= 1 ||
+                                       evaluator.numAuditViolations() >= 1;
         } else if (evaluator.numAuditViolations() != 0) {
-            diverge("audit@" + run.label,
+            diverge("audit@" + label,
                     std::to_string(evaluator.numAuditViolations()) +
                         " audit finding(s) in " +
                         std::to_string(evaluator.numAuditChecks()) +
@@ -225,13 +210,56 @@ runSmithOracle(const SmithSample &sample, const SmithOracleConfig &config)
         QoRResult again = evaluator.evaluate(points[0]);
         result.evaluations += 1;
         if (evaluator.numCacheHits() <= hits_before)
-            diverge(run.label, "re-evaluation missed the memo cache",
+            diverge(label, "re-evaluation missed the memo cache",
                     points[0]);
         if (!qorEqual(again, baseline[0]))
-            diverge(run.label,
+            diverge(label,
                     "memo re-probe returned " + qorStr(again) +
                         ", reference " + qorStr(baseline[0]),
                     points[0]);
+    };
+
+    // The production evaluator at 1 and N threads, in two cache states,
+    // each from a FRESH estimate cache (cross-state reuse would mask a
+    // path behind warm tiers): a cold pass, then a warm replay by a new
+    // evaluator on the same cache.
+    //  - plain: the cold pass builds overlays and proves unroll-cap
+    //    infeasibility; the warm replay composes from the PLAN and
+    //    SCHEDULE tiers with zero IR.
+    //  - blocked: every consulted plan is pre-seeded as non-composable,
+    //    so the cold pass runs full materializations and the warm replay
+    //    is schedule-composed.
+    std::vector<unsigned> thread_counts = {1};
+    if (config.threads > 1)
+        thread_counts.push_back(config.threads);
+    for (unsigned threads : thread_counts) {
+        std::unique_ptr<ThreadPool> pool;
+        if (threads > 1)
+            pool = std::make_unique<ThreadPool>(threads);
+        std::string at = "@" + std::to_string(threads) + "t";
+        for (bool blocked : {false, true}) {
+            EstimateCache cache;
+            bool corrupted = false;
+            if (blocked) {
+                blockPlans(space, cache, points);
+            } else if (config.corruptPlan && threads == 1) {
+                // The system must CATCH the poisoned entry (digest-
+                // mismatch fallback or audit finding) and still answer
+                // with the reference QoR.
+                corrupted = corruptPlan(space, cache, points[0]);
+                result.corruptionApplicable |= corrupted;
+            }
+            std::string state = blocked ? "blocked-" : "";
+            runPass(state + "cold" + at, cache, pool.get(), corrupted,
+                    blocked);
+            if (corrupted && !result.corruptionCaught)
+                diverge("cold" + at,
+                        "corrupted PLAN entry went undetected "
+                        "(no mismatch fallback, no audit finding)",
+                        points[0]);
+            runPass(state + "warm" + at, cache, pool.get(), corrupted,
+                    blocked);
+        }
     }
     return result;
 }
@@ -283,9 +311,7 @@ reproducerJson(const SmithSample &sample, const SmithOracleConfig &config,
        << ",\"corrupt_plan\":" << jsonBool(config.corruptPlan)
        << ",\"space\":{\"max_tile_size\":" << config.space.maxTileSize
        << ",\"max_total_unroll\":" << config.space.maxTotalUnroll
-       << ",\"max_ii\":" << config.space.maxII
-       << ",\"dataflow_fastpath\":"
-       << jsonBool(config.space.dataflowFastPath) << "}}";
+       << ",\"max_ii\":" << config.space.maxII << "}}";
     os << ",\"shape\":\"" << jsonEscape(sample.shape) << "\"";
     os << ",\"path\":\"" << jsonEscape(divergence.path) << "\"";
     os << ",\"detail\":\"" << jsonEscape(divergence.detail) << "\"";
@@ -351,8 +377,6 @@ replayReproducer(const std::string &json_text, std::string *report,
             oracle.space.maxTotalUnroll = intField(
                 *s, "max_total_unroll", oracle.space.maxTotalUnroll);
             oracle.space.maxII = intField(*s, "max_ii", oracle.space.maxII);
-            oracle.space.dataflowFastPath = boolField(
-                *s, "dataflow_fastpath", oracle.space.dataflowFastPath);
         }
     }
 

@@ -1,14 +1,23 @@
 /**
  * @file
  * scalehls-smith's differential oracle: every generated sample's design
- * points are evaluated through all four evaluation paths — plan-first,
- * schedule-composed, band-cached, and the uncached sequential reference
- * — at one and N threads, and the oracle fails on ANY divergence: a QoR
- * that differs from the reference in any field, an evaluator counter
- * combination that breaks the fast-path accounting invariants, or an
- * L3/L4 audit finding. A failing sample is dumped as a JSON reproducer
- * that `scalehls-smith --replay <file>` re-executes exactly (generation
- * is a pure function of config + seed).
+ * points are evaluated by the uncached reference (no estimate cache, so
+ * every point runs the full pipeline) and by the production
+ * CachingEvaluator at one and N threads, in two cache states:
+ *
+ *  - cold then warm: a fresh estimate cache, then a fresh evaluator
+ *    replaying on the warm cache — covers the full, overlay,
+ *    plan-composed and plan-infeasible decisions;
+ *  - plan-blocked: every consulted PLAN key is pre-seeded as
+ *    non-composable before the same cold pass and warm replay — forces
+ *    the plan-fallback -> schedule-composed decision.
+ *
+ * The oracle fails on ANY divergence: a QoR that differs from the
+ * reference in any field, an evaluator counter combination that breaks
+ * the decision accounting invariants, or an L3/L4 audit finding. A
+ * failing sample is dumped as a JSON reproducer that
+ * `scalehls-smith --replay <file>` re-executes exactly (generation is a
+ * pure function of config + seed).
  */
 
 #ifndef SCALEHLS_SMITH_ORACLE_H
@@ -33,9 +42,9 @@ struct SmithOracleConfig
     unsigned threads = 4;
     /** Run the L3/L4 auditors inside every cached evaluation. */
     bool audit = true;
-    /** Self-test hook: poison one PLAN-tier entry before the plan-first
-     * run and demand the corruption is CAUGHT (mismatch counter or audit
-     * finding) while the QoR still matches the reference. */
+    /** Self-test hook: poison one PLAN-tier entry before the 1-thread
+     * cold pass and demand the corruption is CAUGHT (mismatch counter or
+     * audit finding) while the QoR still matches the reference. */
     bool corruptPlan = false;
     /** The design-space bounds every run shares. */
     DesignSpaceOptions space;
@@ -44,9 +53,31 @@ struct SmithOracleConfig
 /** One oracle failure: which evaluation path diverged, on what. */
 struct SmithDivergence
 {
-    std::string path;   ///< e.g. "plan-first@4t" or "counters@sched@1t".
+    std::string path;   ///< e.g. "warm@4t" or "counters@blocked-cold@1t".
     std::string detail; ///< Human-readable what-differed.
     DesignSpace::Point point; ///< Offending point (empty for counters).
+};
+
+/** How the production evaluator decided its memo misses: one count
+ * per decision class. */
+struct SmithDecisions
+{
+    size_t full = 0;             ///< Full materialize + estimate.
+    size_t scheduleComposed = 0; ///< Phase-1 IR + SCHEDULE tier.
+    size_t planComposed = 0;     ///< PLAN + SCHEDULE tiers, zero IR.
+    size_t overlay = 0;          ///< Copy-on-write overlay.
+    size_t planInfeasible = 0;   ///< Proved infeasible with zero IR.
+
+    SmithDecisions &
+    operator+=(const SmithDecisions &other)
+    {
+        full += other.full;
+        scheduleComposed += other.scheduleComposed;
+        planComposed += other.planComposed;
+        overlay += other.overlay;
+        planInfeasible += other.planInfeasible;
+        return *this;
+    }
 };
 
 /** The oracle's verdict on one sample. */
@@ -54,6 +85,8 @@ struct SmithOracleResult
 {
     size_t points = 0;        ///< Points probed.
     size_t evaluations = 0;   ///< Point evaluations across all runs.
+    /** Decision-class counts summed over every production pass. */
+    SmithDecisions decisions;
     std::vector<SmithDivergence> divergences;
     /** corruptPlan only: the poisoned entry was applicable (the sample
      * is plan-eligible) — self-tests must retry other seeds when
@@ -65,7 +98,8 @@ struct SmithOracleResult
     bool corruptionCaught = false;
 };
 
-/** Run the four-path differential oracle over @p sample. */
+/** Run the reference-vs-production differential oracle over
+ * @p sample. */
 SmithOracleResult runSmithOracle(const SmithSample &sample,
                                  const SmithOracleConfig &config);
 

@@ -245,6 +245,7 @@ class Parser
             return false;
         out.kind = JsonValue::Kind::Number;
         out.number = value;
+        out.string = std::move(token);
         return true;
     }
 

@@ -4,7 +4,8 @@
  * (newline-delimited JSON requests and responses) and for tests that
  * parse responses back. Supports objects, arrays, strings, numbers,
  * booleans and null — no comments, no trailing commas. Numbers are kept
- * as doubles (the protocol's integers are well within 2^53).
+ * as doubles plus their literal text, so integer fields can be decoded
+ * exactly (an integer's text, not a rounded double).
  */
 
 #ifndef SCALEHLS_SUPPORT_JSON_H
@@ -36,13 +37,24 @@ struct JsonValue
     Kind kind = Kind::Null;
     bool boolean = false;
     double number = 0;
+    /** A String's contents, or a Number's literal text as written. */
     std::string string;
     std::map<std::string, JsonValue> object;
     std::vector<JsonValue> array;
 
     bool isNumber() const { return kind == Kind::Number; }
     bool isString() const { return kind == Kind::String; }
-    int64_t asInt() const { return static_cast<int64_t>(number); }
+    /** The number truncated toward zero, saturated to the int64 range
+     * (a bare cast of an out-of-range double is undefined). */
+    int64_t
+    asInt() const
+    {
+        if (!(number > -9223372036854775808.0))
+            return INT64_MIN;
+        if (!(number < 9223372036854775808.0))
+            return INT64_MAX;
+        return static_cast<int64_t>(number);
+    }
 
     /** The member of an object, or nullptr. */
     const JsonValue *

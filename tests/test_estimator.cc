@@ -638,13 +638,6 @@ TEST(Estimator, BandCacheHitsAcrossMultiBandVariants)
     EXPECT_GT(entry->interval, 0);
     EXPECT_GE(entry->memPortII, 1);
     EXPECT_FALSE(entry->sequentialOps.empty());
-
-    // The function-level-only configuration never touches the band tier.
-    EstimateCache func_only;
-    QoREstimator(m1.get(), nullptr, &func_only, false).estimateModule();
-    QoREstimator(m2.get(), nullptr, &func_only, false).estimateModule();
-    EXPECT_EQ(func_only.bandLookups(), 0u);
-    EXPECT_LT(func_only.bandHits(), cache.bandHits());
 }
 
 TEST(Estimator, DigestDistinguishesDirectives)

@@ -35,16 +35,12 @@ expectRequestsEqual(const ExploreRequest &a, const ExploreRequest &b,
     EXPECT_EQ(a.space.maxTileSize, b.space.maxTileSize);
     EXPECT_EQ(a.space.maxTotalUnroll, b.space.maxTotalUnroll);
     EXPECT_EQ(a.space.maxII, b.space.maxII);
-    EXPECT_EQ(a.space.dataflowFastPath, b.space.dataflowFastPath);
     EXPECT_EQ(a.dse.numThreads, b.dse.numThreads);
     EXPECT_EQ(a.dse.seed, b.dse.seed);
     EXPECT_EQ(a.dse.numInitialSamples, b.dse.numInitialSamples);
     EXPECT_EQ(a.dse.maxIterations, b.dse.maxIterations);
     EXPECT_EQ(a.dse.batchSize, b.dse.batchSize);
     EXPECT_EQ(a.dse.crossPointCache, b.dse.crossPointCache);
-    EXPECT_EQ(a.dse.bandLevelCache, b.dse.bandLevelCache);
-    EXPECT_EQ(a.dse.partitionAwareBandKeys, b.dse.partitionAwareBandKeys);
-    EXPECT_EQ(a.dse.incrementalMaterialize, b.dse.incrementalMaterialize);
     EXPECT_EQ(a.dse.auditMode, b.dse.auditMode);
     EXPECT_EQ(a.dse.estimateCacheTierCaps.func,
               b.dse.estimateCacheTierCaps.func);
@@ -87,17 +83,14 @@ TEST(ExploreRequest, FlagJsonAndDirectDecodeToIdenticalOptions)
         {"-dse-budget=vu9p-slr", "-dse-model=vgg16",
          "-dse-graph-level=3", "-dse-threads=2", "-dse-batch=4",
          "-dse-seed=99", "-dse-samples=10", "-dse-iterations=20",
-         "-dse-cache=1", "-dse-band-cache=0", "-dse-partition-keys=1",
-         "-dse-incremental=0", "-dse-dataflow-fastpath=0",
-         "-dse-cache-cap=64:128:256:512", "-dse-audit=1"});
+         "-dse-cache=0", "-dse-cache-cap=64:128:256:512",
+         "-dse-audit=1"});
 
     ExploreRequest json = fromJsonText(
         "{\"budget\":\"vu9p-slr\",\"model\":\"vgg16\","
         "\"graph_level\":3,\"threads\":2,\"batch\":4,\"seed\":99,"
-        "\"samples\":10,\"iterations\":20,\"cache\":true,"
-        "\"band_cache\":false,\"partition_keys\":1,\"incremental\":0,"
-        "\"dataflow_fastpath\":false,\"cache_cap\":\"64:128:256:512\","
-        "\"audit\":true}");
+        "\"samples\":10,\"iterations\":20,\"cache\":false,"
+        "\"cache_cap\":\"64:128:256:512\",\"audit\":1}");
 
     ExploreRequest direct;
     direct.budgetSpec = "vu9p-slr";
@@ -109,12 +102,8 @@ TEST(ExploreRequest, FlagJsonAndDirectDecodeToIdenticalOptions)
     direct.dse.seed = 99;
     direct.dse.numInitialSamples = 10;
     direct.dse.maxIterations = 20;
-    direct.dse.crossPointCache = true;
-    direct.dse.bandLevelCache = false;
-    direct.dse.partitionAwareBandKeys = true;
-    direct.dse.incrementalMaterialize = false;
+    direct.dse.crossPointCache = false;
     direct.dse.auditMode = true;
-    direct.space.dataflowFastPath = false;
 
     ASSERT_FALSE(cli.validate().has_value());
     ASSERT_FALSE(json.validate().has_value());
@@ -127,6 +116,30 @@ TEST(ExploreRequest, FlagJsonAndDirectDecodeToIdenticalOptions)
     EXPECT_EQ(cli.budget.name, "vu9p-slr");
     EXPECT_EQ(cli.dse.estimateCacheTierCaps.func, 64u);
     EXPECT_EQ(cli.dse.estimateCacheTierCaps.plan, 512u);
+}
+
+/** A value no struct field can hold (negative, fractional, out of
+ * range) is rejected at decode time by the CLI and the JSON decoder
+ * alike, with the shared diagnostic naming each surface's field. */
+void
+expectSameDecodeRejection(const std::string &flag_name,
+                          const std::string &json_key,
+                          const std::string &value)
+{
+    SCOPED_TRACE(flag_name + "=" + value);
+    ExploreRequest from_flag;
+    std::string flag_error;
+    EXPECT_TRUE(
+        parseExploreFlag(from_flag, flag_name + "=" + value, &flag_error));
+    EXPECT_EQ(flag_error, flag_name + " expects an unsigned integer, got '" +
+                              value + "'");
+
+    ExploreRequest from_json;
+    auto parsed = parseJson("{\"" + json_key + "\":" + value + "}");
+    ASSERT_TRUE(parsed.has_value());
+    EXPECT_EQ(exploreRequestFromJson(from_json, *parsed),
+              json_key + " expects an unsigned integer, got '" + value +
+                  "'");
 }
 
 /** The same malformed value through all three front ends yields the
@@ -211,6 +224,12 @@ TEST(ExploreRequest, MalformedInputsRejectedIdenticallyEverywhere)
         expectSameDiagnostic("-dse-samples=0", "{\"samples\":0}", direct,
                              "initial samples must be positive");
     }
+    // Numbers JSON can spell but no field can hold are rejected, never
+    // wrapped, truncated or cast out of range.
+    expectSameDecodeRejection("-dse-graph-level", "graph_level",
+                              "4294967300");
+    expectSameDecodeRejection("-dse-samples", "samples", "2.9");
+    expectSameDecodeRejection("-dse-threads", "threads", "1e300");
 }
 
 TEST(ExploreRequest, NonNumericCountsShareTheDiagnosticShape)

@@ -169,7 +169,7 @@ TEST(Overlay, DigestPredictionMismatchFallsBackToTheFullPipeline)
     QoRResult ref = reference.evaluate(point);
 
     EstimateCache cache;
-    BandPlanner planner(space, &cache, /*masked_band_keys=*/true);
+    BandPlanner planner(space, &cache);
     ASSERT_TRUE(planner.enabled());
     std::string key = planner.debugPlanKey(point, 0);
     ASSERT_FALSE(key.empty());
@@ -202,7 +202,7 @@ TEST(Overlay, PlanKeysAreStablePerPointAndDistinctAcrossPoints)
     auto module = affineModule(kThreeBand);
     DesignSpace space(module.get());
     EstimateCache cache;
-    BandPlanner planner(space, &cache, true);
+    BandPlanner planner(space, &cache);
     ASSERT_TRUE(planner.enabled());
 
     DesignSpace::Point a(space.numDims(), 0);

@@ -333,5 +333,39 @@ TEST(ServeTest, KernelRequestAnswersByIndexAndRejectsBadNames)
               std::string::npos);
 }
 
+TEST(ServeTest, BadKernelIndexAndSizeAreRejectedWithoutSideEffects)
+{
+    // A negative kernel index must not wrap to SIZE_MAX (which builds
+    // every kernel of the model) and size 0 must not answer a gemm-0
+    // design. Both are error replies that leave the session exactly as
+    // it was: the good replies around them are byte-identical to a
+    // session that never saw them.
+    std::string good_kernel =
+        "{\"id\":4,\"kind\":\"kernel\",\"model\":\"resnet18\","
+        "\"graph_level\":4,\"kernel\":0,\"samples\":6,"
+        "\"iterations\":4,\"batch\":2,\"seed\":3}";
+
+    ServeSession session(isolatedOptions());
+    std::string first = session.handleLine(gemmRequest(1, 7));
+    JsonValue bad_kernel = parsed(session.handleLine(
+        "{\"id\":2,\"kind\":\"kernel\",\"model\":\"resnet18\","
+        "\"kernel\":-1}"));
+    EXPECT_FALSE(boolAt(bad_kernel, "ok"));
+    EXPECT_EQ(bad_kernel.get("error")->string,
+              "kernel expects an unsigned integer, got '-1'");
+    JsonValue bad_size = parsed(session.handleLine(
+        "{\"id\":3,\"kind\":\"polybench\",\"kernel\":\"gemm\","
+        "\"size\":0}"));
+    EXPECT_FALSE(boolAt(bad_size, "ok"));
+    EXPECT_EQ(bad_size.get("error")->string, "size must be positive");
+    std::string second = session.handleLine(good_kernel);
+
+    ServeSession clean(isolatedOptions());
+    EXPECT_EQ(first, clean.handleLine(gemmRequest(1, 7)));
+    EXPECT_EQ(second, clean.handleLine(good_kernel));
+    EXPECT_TRUE(boolAt(parsed(second), "ok"));
+    EXPECT_EQ(session.completedRequests(), 2u);
+}
+
 } // namespace
 } // namespace scalehls

@@ -2,8 +2,9 @@
  * @file
  * Tests of the scalehls-smith generator and differential oracle: the
  * generator is a pure function of (config, seed) and covers the
- * buffer-ownership classes, the oracle's four evaluation paths agree on
- * healthy samples, an intentionally corrupted PLAN entry is caught, and
+ * buffer-ownership classes, the production evaluator agrees with the
+ * uncached reference on healthy samples and reaches every decision
+ * class, an intentionally corrupted PLAN entry is caught, and
  * reproducer records replay exactly.
  */
 
@@ -74,7 +75,7 @@ TEST(SmithGenerator, ConfigGatesTheRiskyShapes)
     }
 }
 
-TEST(SmithOracle, FourPathsAgreeOnHealthySamples)
+TEST(SmithOracle, ProductionMatchesReferenceOnHealthySamples)
 {
     SmithGenConfig gen;
     SmithOracleConfig oracle = quickOracle();
@@ -87,6 +88,31 @@ TEST(SmithOracle, FourPathsAgreeOnHealthySamples)
             ADD_FAILURE() << "seed " << seed << " [" << d.path << "] "
                           << d.detail;
     }
+}
+
+TEST(SmithOracle, EveryDecisionClassIsExercised)
+{
+    // Over a fixed slice of the CI corpus (scalehls-smith --corpus 100
+    // --seed 1 draws seeds 1000003 + i), the production evaluator must
+    // decide misses through every class at least once, so a change
+    // cannot silently route the fuzzer around a path.
+    SmithGenConfig gen;
+    SmithOracleConfig oracle;
+    oracle.threads = 2;
+    SmithDecisions total;
+    for (uint64_t i = 50; i < 60; ++i) {
+        SmithSample sample = generateSmithSample(gen, 1000003ull + i);
+        SmithOracleResult result = runSmithOracle(sample, oracle);
+        for (const auto &d : result.divergences)
+            ADD_FAILURE() << "sample " << i << " [" << d.path << "] "
+                          << d.detail;
+        total += result.decisions;
+    }
+    EXPECT_GT(total.full, 0u);
+    EXPECT_GT(total.scheduleComposed, 0u);
+    EXPECT_GT(total.planComposed, 0u);
+    EXPECT_GT(total.overlay, 0u);
+    EXPECT_GT(total.planInfeasible, 0u);
 }
 
 TEST(SmithOracle, CorruptedPlanEntryIsCaught)

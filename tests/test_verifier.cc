@@ -367,7 +367,7 @@ TEST(Verifier, AuditModeFlagsACorruptedPlanEntry)
     QoRResult ref = reference.evaluate(point);
 
     EstimateCache cache;
-    BandPlanner planner(space, &cache, /*masked_band_keys=*/true);
+    BandPlanner planner(space, &cache);
     ASSERT_TRUE(planner.enabled());
     std::string key = planner.debugPlanKey(point, 0);
     ASSERT_FALSE(key.empty());
@@ -377,9 +377,7 @@ TEST(Verifier, AuditModeFlagsACorruptedPlanEntry)
     bogus.digest = "bogus-digest-that-no-band-ever-hashes-to";
     cache.insertPlan(key, bogus);
 
-    EvaluatorOptions options;
-    options.audit = true;
-    CachingEvaluator audited(space, nullptr, &cache, options);
+    CachingEvaluator audited(space, nullptr, &cache, /*audit=*/true);
     QoRResult fast = audited.evaluate(point);
     EXPECT_EQ(fast.latency, ref.latency);
     EXPECT_EQ(fast.interval, ref.interval);
@@ -393,9 +391,7 @@ TEST(Verifier, AuditModeIsViolationFreeOnAHealthyRun)
     auto module = affineModule(kThreeBand);
     DesignSpace space(module.get());
     EstimateCache cache;
-    EvaluatorOptions options;
-    options.audit = true;
-    CachingEvaluator audited(space, nullptr, &cache, options);
+    CachingEvaluator audited(space, nullptr, &cache, /*audit=*/true);
 
     CachingEvaluator reference(space);
 

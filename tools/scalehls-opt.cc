@@ -247,19 +247,12 @@ main(int argc, char **argv)
                 return;
             std::cerr << "estimate cache: ";
             report_tier("func tier", estimate_cache.funcStats());
-            if (request.dse.bandLevelCache) {
-                CacheStats band_tier = estimate_cache.bandStats();
-                std::cerr << "; ";
-                report_tier("band tier", band_tier);
-                if (request.dse.partitionAwareBandKeys)
-                    std::cerr << " (" << band_tier.maskedHits
-                              << " partition-masked)";
-                if (request.dse.incrementalMaterialize) {
-                    std::cerr << "; ";
-                    report_tier("schedule tier",
-                                estimate_cache.scheduleStats());
-                }
-            }
+            CacheStats band_tier = estimate_cache.bandStats();
+            std::cerr << "; ";
+            report_tier("band tier", band_tier);
+            std::cerr << " (" << band_tier.maskedHits
+                      << " partition-masked); ";
+            report_tier("schedule tier", estimate_cache.scheduleStats());
             CacheStats plan_tier = estimate_cache.planStats();
             if (plan_tier.entries != 0 || plan_tier.lookups() != 0) {
                 std::cerr << "; ";

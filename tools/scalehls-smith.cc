@@ -1,12 +1,13 @@
 /**
  * @file
- * scalehls-smith: seeded random-kernel generator + four-path
- * differential oracle. Every sample is generated from a pure
- * (config, seed) pair, L1/L2-verified at birth, and its design points
- * are evaluated through plan-first, schedule-composed, band-cached and
- * uncached-reference evaluation at 1 and N threads; ANY QoR,
- * counter-invariant or L3/L4 audit divergence fails the run and dumps a
- * JSON reproducer that `--replay` re-executes exactly.
+ * scalehls-smith: seeded random-kernel generator + differential
+ * oracle. Every sample is generated from a pure (config, seed) pair,
+ * L1/L2-verified at birth, and its design points are evaluated by the
+ * uncached reference and by the production evaluator at 1 and N
+ * threads, cold then warm, with and without the PLAN tier blocked (see
+ * smith/oracle.h); ANY QoR, counter-invariant or L3/L4 audit divergence
+ * fails the run and dumps a JSON reproducer that `--replay` re-executes
+ * exactly.
  *
  * The exploration knobs come in through the same unified ExploreRequest
  * flag surface as scalehls-opt (-dse-threads, -dse-audit, the space
@@ -168,7 +169,7 @@ selfTest(const SmithGenConfig &gen, SmithOracleConfig oracle,
 
         // Dump the catch as a reproducer record and prove --replay
         // re-executes it exactly (regeneration + re-detection).
-        SmithDivergence record{"self-test@plan-first@1t",
+        SmithDivergence record{"self-test@cold@1t",
                                "corrupted PLAN entry caught", {}};
         std::string json = reproducerJson(sample, oracle, record);
         {
@@ -298,6 +299,7 @@ main(int argc, char **argv)
     };
     size_t samples = 0, points = 0, evaluations = 0;
     size_t divergences = 0, audit_violations = 0;
+    SmithDecisions decisions;
     std::map<std::string, size_t> shapes;
     std::ofstream repro_out;
 
@@ -316,6 +318,7 @@ main(int argc, char **argv)
             ++samples;
             points += result.points;
             evaluations += result.evaluations;
+            decisions += result.decisions;
             if (!result.divergences.empty()) {
                 divergences += result.divergences.size();
                 for (const auto &d : result.divergences) {
@@ -344,6 +347,11 @@ main(int argc, char **argv)
               << evaluations << " evaluations in " << seconds
               << "s; " << divergences << " divergence(s), "
               << audit_violations << " audit violation(s)\n";
+    std::cout << "decisions: full=" << decisions.full
+              << " schedule-composed=" << decisions.scheduleComposed
+              << " plan-composed=" << decisions.planComposed
+              << " overlay=" << decisions.overlay
+              << " plan-infeasible=" << decisions.planInfeasible << "\n";
     std::cout << "shape mix:";
     for (const auto &entry : shapes)
         std::cout << " " << entry.first << "=" << entry.second;
@@ -354,6 +362,11 @@ main(int argc, char **argv)
           << ",\"evaluations\":" << evaluations
           << ",\"divergences\":" << divergences
           << ",\"audit_violations\":" << audit_violations
+          << ",\"full\":" << decisions.full
+          << ",\"schedule_composed\":" << decisions.scheduleComposed
+          << ",\"plan_composed\":" << decisions.planComposed
+          << ",\"overlay\":" << decisions.overlay
+          << ",\"plan_infeasible\":" << decisions.planInfeasible
           << ",\"seconds\":" << seconds << ",\"evals_per_sec\":"
           << (seconds > 0 ? static_cast<double>(evaluations) / seconds
                           : 0)
