@@ -18,24 +18,34 @@ isZooModel(const std::string &model)
            model == "mobilenet";
 }
 
-/** Shared "-name=<n>" / "key": <n> unsigned decoding. The diagnostic is
- * the one every front end prints, so it names the surface field. */
-std::optional<unsigned>
-decodeUnsigned(const std::string &value)
+/** Shared "-name=<n>" / "key": <n> decoding of a non-negative integer
+ * no larger than @p max. The diagnostic is the one every front end
+ * prints, so it names the surface field. */
+std::optional<unsigned long long>
+decodeDigits(const std::string &value, unsigned long long max)
 {
-    // std::stoul alone would wrap "-1" to ULONG_MAX; require digits.
+    // std::stoull alone would wrap "-1" to ULLONG_MAX; require digits.
     bool all_digits = !value.empty();
     for (char c : value)
         all_digits &= c >= '0' && c <= '9';
     if (!all_digits)
         return std::nullopt;
     try {
-        unsigned long parsed = std::stoul(value);
-        if (parsed <= std::numeric_limits<unsigned>::max())
-            return static_cast<unsigned>(parsed);
+        unsigned long long parsed = std::stoull(value);
+        if (parsed <= max)
+            return parsed;
     } catch (const std::exception &) {
     }
     return std::nullopt;
+}
+
+std::optional<unsigned>
+decodeUnsigned(const std::string &value)
+{
+    auto parsed = decodeDigits(value, std::numeric_limits<unsigned>::max());
+    if (!parsed)
+        return std::nullopt;
+    return static_cast<unsigned>(*parsed);
 }
 
 std::string
@@ -45,6 +55,38 @@ unsignedDiagnostic(const std::string &name, const std::string &value)
 }
 
 } // namespace
+
+std::string
+decodeFlagInt(const std::string &name, const std::string &value,
+              int64_t &field)
+{
+    auto parsed = decodeDigits(value, std::numeric_limits<int64_t>::max());
+    if (!parsed)
+        return unsignedDiagnostic(name, value);
+    field = static_cast<int64_t>(*parsed);
+    return "";
+}
+
+std::string
+decodeFlagIntList(const std::string &name, const std::string &value,
+                  std::vector<int64_t> &fields)
+{
+    std::vector<int64_t> decoded;
+    for (size_t begin = 0; !value.empty();) {
+        size_t end = value.find(',', begin);
+        int64_t element = 0;
+        std::string error =
+            decodeFlagInt(name, value.substr(begin, end - begin), element);
+        if (!error.empty())
+            return error;
+        decoded.push_back(element);
+        if (end == std::string::npos)
+            break;
+        begin = end + 1;
+    }
+    fields = std::move(decoded);
+    return "";
+}
 
 std::string
 decodeJsonUnsigned(const JsonValue &object, const char *key,

@@ -15,8 +15,10 @@
 #ifndef SCALEHLS_API_EXPLORE_REQUEST_H
 #define SCALEHLS_API_EXPLORE_REQUEST_H
 
+#include <cstdint>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "dse/dse_engine.h"
 
@@ -104,6 +106,22 @@ std::string exploreRequestFromJson(ExploreRequest &request,
  * diagnostic. */
 std::string decodeJsonUnsigned(const JsonValue &object, const char *key,
                                unsigned &field);
+
+/** The checked decode of an integral scalehls-opt pass option
+ * ("-affine-loop-unroll=<f>", "-loop-pipelining=<II>", ...): digits
+ * only, no larger than INT64_MAX, so "abc", "-1" and
+ * "99999999999999999999" are rejected, never thrown or wrapped.
+ * Returns "" on success, else the shared "<name> expects an unsigned
+ * integer, got '<value>'" diagnostic (leaving @p field untouched). */
+std::string decodeFlagInt(const std::string &name, const std::string &value,
+                          int64_t &field);
+
+/** decodeFlagInt over a comma-separated list
+ * ("-affine-loop-tile=<t0,t1,...>"; "" is the empty list). The
+ * diagnostic quotes the first malformed element. */
+std::string decodeFlagIntList(const std::string &name,
+                              const std::string &value,
+                              std::vector<int64_t> &fields);
 
 /** The usage text of the shared explore flags (kept next to the parser
  * so tools cannot document flags the parser does not accept). */

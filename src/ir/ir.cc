@@ -204,10 +204,7 @@ Operation *
 Operation::nextOp() const
 {
     assert(parent_);
-    auto it = std::find_if(parent_->ops_.begin(), parent_->ops_.end(),
-                           [&](auto &p) { return p.get() == this; });
-    assert(it != parent_->ops_.end());
-    ++it;
+    auto it = std::next(pos_);
     return it == parent_->ops_.end() ? nullptr : it->get();
 }
 
@@ -215,13 +212,7 @@ Operation *
 Operation::prevOp() const
 {
     assert(parent_);
-    auto it = std::find_if(parent_->ops_.begin(), parent_->ops_.end(),
-                           [&](auto &p) { return p.get() == this; });
-    assert(it != parent_->ops_.end());
-    if (it == parent_->ops_.begin())
-        return nullptr;
-    --it;
-    return it->get();
+    return pos_ == parent_->ops_.begin() ? nullptr : std::prev(pos_)->get();
 }
 
 bool
@@ -461,15 +452,37 @@ Operation::cloneImpl(ValueRemap &remap, bool *complete) const
     return cloned;
 }
 
+std::vector<std::unique_ptr<Operation>>
+Operation::cloneMapped(const Operation *const *ops, size_t count,
+                       std::unordered_map<Value *, Value *> &mapping,
+                       bool *complete)
+{
+    size_t expected = mapping.size();
+    for (size_t i = 0; i < count; ++i)
+        expected += ops[i]->countValues();
+    ValueRemap remap(expected);
+    for (const auto &[from, to] : mapping)
+        remap.set(from, to);
+    std::vector<std::unique_ptr<Operation>> cloned;
+    cloned.reserve(count);
+    for (size_t i = 0; i < count; ++i)
+        cloned.push_back(ops[i]->cloneImpl(remap, complete));
+    remap.forEach([&](Value *from, Value *to) { mapping[from] = to; });
+    return cloned;
+}
+
 std::unique_ptr<Operation>
 Operation::clone(std::unordered_map<Value *, Value *> &mapping) const
 {
-    ValueRemap remap(mapping.size() + countValues());
-    for (const auto &[from, to] : mapping)
-        remap.set(from, to);
-    auto cloned = cloneImpl(remap);
-    remap.forEach([&](Value *from, Value *to) { mapping[from] = to; });
-    return cloned;
+    const Operation *self = this;
+    return std::move(cloneMapped(&self, 1, mapping, nullptr).front());
+}
+
+std::vector<std::unique_ptr<Operation>>
+Operation::cloneRange(const std::vector<Operation *> &ops,
+                      std::unordered_map<Value *, Value *> &mapping)
+{
+    return cloneMapped(ops.data(), ops.size(), mapping, nullptr);
 }
 
 std::unique_ptr<Operation>
@@ -484,12 +497,8 @@ Operation::cloneStrict(std::unordered_map<Value *, Value *> &mapping,
                        bool &complete) const
 {
     complete = true;
-    ValueRemap remap(mapping.size() + countValues());
-    for (const auto &[from, to] : mapping)
-        remap.set(from, to);
-    auto cloned = cloneImpl(remap, &complete);
-    remap.forEach([&](Value *from, Value *to) { mapping[from] = to; });
-    return cloned;
+    const Operation *self = this;
+    return std::move(cloneMapped(&self, 1, mapping, &complete).front());
 }
 
 //
@@ -537,53 +546,41 @@ Block::opsVector() const
 Operation *
 Block::pushBack(std::unique_ptr<Operation> op)
 {
-    op->parent_ = this;
-    ops_.push_back(std::move(op));
-    return ops_.back().get();
+    return insertBefore(nullptr, std::move(op));
 }
 
 Operation *
 Block::pushFront(std::unique_ptr<Operation> op)
 {
-    op->parent_ = this;
-    ops_.push_front(std::move(op));
-    return ops_.front().get();
+    return insertBefore(empty() ? nullptr : front(), std::move(op));
 }
 
 Operation *
 Block::insertBefore(Operation *anchor, std::unique_ptr<Operation> op)
 {
-    if (!anchor)
-        return pushBack(std::move(op));
-    assert(anchor->parent_ == this);
-    op->parent_ = this;
-    auto it = std::find_if(ops_.begin(), ops_.end(),
-                           [&](auto &p) { return p.get() == anchor; });
-    assert(it != ops_.end());
-    return ops_.insert(it, std::move(op))->get();
+    assert(!anchor || anchor->parent_ == this);
+    auto it = ops_.insert(anchor ? anchor->pos_ : ops_.end(), std::move(op));
+    Operation *inserted = it->get();
+    inserted->parent_ = this;
+    inserted->pos_ = it;
+    return inserted;
 }
 
 Operation *
 Block::insertAfter(Operation *anchor, std::unique_ptr<Operation> op)
 {
     assert(anchor && anchor->parent_ == this);
-    op->parent_ = this;
-    auto it = std::find_if(ops_.begin(), ops_.end(),
-                           [&](auto &p) { return p.get() == anchor; });
-    assert(it != ops_.end());
-    ++it;
-    return ops_.insert(it, std::move(op))->get();
+    return insertBefore(anchor->nextOp(), std::move(op));
 }
 
 std::unique_ptr<Operation>
 Block::take(Operation *op)
 {
-    auto it = std::find_if(ops_.begin(), ops_.end(),
-                           [&](auto &p) { return p.get() == op; });
-    assert(it != ops_.end() && "op not in this block");
-    auto owned = std::move(*it);
-    ops_.erase(it);
+    assert(op->parent_ == this && "op not in this block");
+    auto owned = std::move(*op->pos_);
+    ops_.erase(op->pos_);
     owned->parent_ = nullptr;
+    owned->pos_ = {};
     return owned;
 }
 

@@ -34,6 +34,10 @@ class Block;
 class Region;
 class ValueRemap;
 
+/** A block's op list. Each op records its own node in it (see
+ * Operation::position()). */
+using OpList = std::list<std::unique_ptr<Operation>>;
+
 /** An SSA value: either the result of an Operation or a Block argument. */
 class Value
 {
@@ -173,10 +177,15 @@ class Operation
     Operation *parentOfName(std::string_view name) const;
     /** True if this op is an ancestor of (properly contains) @p other. */
     bool isAncestorOf(const Operation *other) const;
+    /** This op's node in its parent block's op list; what makes
+     * nextOp(), prevOp() and the Block mutations O(1). Only meaningful
+     * while parentBlock() is non-null. */
+    OpList::const_iterator position() const { return pos_; }
     /** Next / previous op in the parent block (nullptr at the ends). */
     Operation *nextOp() const;
     Operation *prevOp() const;
-    /** True if this op appears before @p other in the same block. */
+    /** True if this op appears before @p other in the same block
+     * (a scan of the block). */
     bool isBeforeInBlock(const Operation *other) const;
     /** Unlink from the current block and insert before/after @p anchor. */
     void moveBefore(Operation *anchor);
@@ -200,9 +209,18 @@ class Operation
     /** Deep-clone this operation. Operand uses are remapped through
      * @p mapping (falling back to the original value for values defined
      * outside the cloned tree); cloned results/block-args are recorded
-     * into @p mapping. */
+     * into @p mapping. A one-element cloneRange(). */
     std::unique_ptr<Operation> clone(
         std::unordered_map<Value *, Value *> &mapping) const;
+    /** Deep-clone @p ops in order, as if by clone(mapping) on each in
+     * turn: a later op's uses of an earlier op's results remap to the
+     * earlier clone. The remap table is seeded from @p mapping once and
+     * written back once, so cloning a range costs O(mapping + range)
+     * rather than O(mapping) per op (loop unrolling and inlining clone
+     * whole bodies this way). */
+    static std::vector<std::unique_ptr<Operation>> cloneRange(
+        const std::vector<Operation *> &ops,
+        std::unordered_map<Value *, Value *> &mapping);
     /** Clone with a fresh empty mapping. Hot path of the DSE stack (one
      * clone per materialized design point): the remap table is sized to
      * the tree's value count up front, so cloning never rehashes. */
@@ -232,6 +250,12 @@ class Operation
      * the original value (the classic clone semantics). */
     std::unique_ptr<Operation> cloneImpl(ValueRemap &remap,
                                          bool *complete = nullptr) const;
+    /** The core of every mapping-seeded clone: seed the remap table
+     * from @p mapping, clone the @p count ops in order through it, and
+     * write it back. */
+    static std::vector<std::unique_ptr<Operation>> cloneMapped(
+        const Operation *const *ops, size_t count,
+        std::unordered_map<Value *, Value *> &mapping, bool *complete);
 
     std::string name_;
     std::vector<Value *> operands_;
@@ -239,6 +263,8 @@ class Operation
     AttrMap attrs_;
     std::vector<std::unique_ptr<Region>> regions_;
     Block *parent_ = nullptr;
+    /** Set with parent_ by every Block insert path (see position()). */
+    OpList::iterator pos_;
 };
 
 /** A straight-line sequence of operations with typed block arguments. */
@@ -266,8 +292,10 @@ class Block
     Operation *back() const { return ops_.back().get(); }
     /** Snapshot of the op list (safe to mutate the block afterwards). */
     std::vector<Operation *> opsVector() const;
-    const std::list<std::unique_ptr<Operation>> &ops() const { return ops_; }
+    const OpList &ops() const { return ops_; }
 
+    /** Inserts, take() and erase() are O(1): each op records its own
+     * list node (Operation::position()), which only they update. */
     Operation *pushBack(std::unique_ptr<Operation> op);
     Operation *pushFront(std::unique_ptr<Operation> op);
     /** Insert before @p anchor (anchor==nullptr appends). */
@@ -288,7 +316,7 @@ class Block
     friend class Operation;
 
     std::vector<std::unique_ptr<Value>> args_;
-    std::list<std::unique_ptr<Operation>> ops_;
+    OpList ops_;
     Region *parent_ = nullptr;
 };
 

@@ -18,6 +18,7 @@ verifyKindName(VerifyKind kind)
       case VerifyKind::DominanceViolation: return "DominanceViolation";
       case VerifyKind::RegionShape: return "RegionShape";
       case VerifyKind::TypeMismatch: return "TypeMismatch";
+      case VerifyKind::BrokenOpLink: return "BrokenOpLink";
       case VerifyKind::InvalidBoundMap: return "InvalidBoundMap";
       case VerifyKind::InvalidAccessMap: return "InvalidAccessMap";
       case VerifyKind::BadTerminator: return "BadTerminator";
@@ -105,6 +106,8 @@ class Verifier
                           " does not dominate its use");
         }
 
+        verifyOpLinks(op);
+
         if (op->is(ops::AffineFor)) {
             verifyAffineFor(op);
         } else if (op->is(ops::AffineIf)) {
@@ -128,6 +131,28 @@ class Verifier
             verifyDirectiveAttrs(op);
             verifyReturnPlacement(op);
         }
+    }
+
+    /** Every op in a block of @p op names that block as its parent and
+     * records its own list node as its position: the O(1) Block
+     * mutations and nextOp()/prevOp() rely on both. */
+    void
+    verifyOpLinks(Operation *op)
+    {
+        for (unsigned r = 0; r < op->numRegions(); ++r)
+            for (auto &block : op->region(r).blocks()) {
+                const auto &ops = block->ops();
+                for (auto it = ops.begin(); it != ops.end(); ++it) {
+                    Operation *child = it->get();
+                    if (child->parentBlock() != block.get())
+                        error(VerifyKind::BrokenOpLink, child,
+                              "op is not linked to the block holding it");
+                    else if (child->position() != it)
+                        error(VerifyKind::BrokenOpLink, child,
+                              "op's recorded position is not its own "
+                              "list node");
+                }
+            }
     }
 
     void

@@ -3,7 +3,9 @@
  * Layered IR verification.
  *
  * L1 (Structural): SSA dominance, null operands, region/terminator shape,
- *     operand typing — the invariants every transform must preserve.
+ *     operand typing, and each op's link to its block (parentBlock() and
+ *     the recorded list position) — the invariants every transform must
+ *     preserve.
  * L2 (Semantic): dialect-level legality — affine bound maps and steps,
  *     access-map arity vs memref rank, module/call-graph consistency and
  *     hlscpp directive-attribute well-formedness (directive placement,
@@ -41,6 +43,7 @@ enum class VerifyKind
     DominanceViolation,
     RegionShape,
     TypeMismatch,
+    BrokenOpLink,
     // L2 — dialect semantics
     InvalidBoundMap,
     InvalidAccessMap,

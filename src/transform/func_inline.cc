@@ -27,18 +27,25 @@ applyFuncInline(Operation *module, Operation *call)
     for (unsigned i = 0; i < call->numOperands(); ++i)
         mapping[callee_body->argument(i)] = call->operand(i);
 
-    Block *dest = call->parentBlock();
-    std::vector<Value *> results;
+    std::vector<Operation *> body_ops;
+    Operation *ret = nullptr;
     for (auto &op : callee_body->ops()) {
         if (op->is(ops::Return)) {
-            for (Value *operand : op->operands()) {
-                auto it = mapping.find(operand);
-                results.push_back(it == mapping.end() ? operand
-                                                      : it->second);
-            }
+            ret = op.get();
             break; // The return is the terminator.
         }
-        dest->insertBefore(call, op->clone(mapping));
+        body_ops.push_back(op.get());
+    }
+    Block *dest = call->parentBlock();
+    for (auto &cloned : Operation::cloneRange(body_ops, mapping))
+        dest->insertBefore(call, std::move(cloned));
+
+    std::vector<Value *> results;
+    if (ret) {
+        for (Value *operand : ret->operands()) {
+            auto it = mapping.find(operand);
+            results.push_back(it == mapping.end() ? operand : it->second);
+        }
     }
 
     for (unsigned i = 0; i < call->numResults() && i < results.size(); ++i)

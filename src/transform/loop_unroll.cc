@@ -51,7 +51,8 @@ bool
 fullyUnroll(AffineForOp loop, int64_t trip)
 {
     Operation *loop_op = loop.op();
-    if (trip * countNestedOps(loop_op) > kMaxUnrolledOps)
+    // Divide rather than multiply: trip may be near INT64_MAX.
+    if (countNestedOps(loop_op) > kMaxUnrolledOps / trip)
         return false;
 
     AffineMap lb_map = loop.lowerBoundMap();
@@ -62,14 +63,15 @@ fullyUnroll(AffineForOp loop, int64_t trip)
     Value *iv = loop.inductionVar();
 
     Block *parent = loop_op->parentBlock();
+    auto body_ops = loop.body()->opsVector();
     for (int64_t k = 0; k < trip; ++k) {
         AffineExpr repl = lb_map.result(0) + k * step;
         // One mapping per iteration so intra-body def-use chains remap to
         // the freshly cloned defs.
         std::unordered_map<Value *, Value *> mapping;
-        for (Operation *body_op : loop.body()->opsVector()) {
+        for (auto &clone : Operation::cloneRange(body_ops, mapping)) {
             Operation *cloned =
-                parent->insertBefore(loop_op, body_op->clone(mapping));
+                parent->insertBefore(loop_op, std::move(clone));
             OpBuilder materialize(parent, cloned);
             substituteIV(cloned, iv, repl, lb_operands, materialize);
         }
@@ -108,7 +110,7 @@ applyLoopUnroll(Operation *loop_op, int64_t factor)
     factor = divisor;
     if (factor <= 1)
         return false;
-    if (factor * countNestedOps(loop_op) > kMaxUnrolledOps)
+    if (countNestedOps(loop_op) > kMaxUnrolledOps / factor)
         return false;
 
     int64_t step = loop.step();
@@ -120,8 +122,8 @@ applyLoopUnroll(Operation *loop_op, int64_t factor)
     for (int64_t k = 1; k < factor; ++k) {
         AffineExpr repl = getAffineDimExpr(0) + k * step;
         std::unordered_map<Value *, Value *> mapping;
-        for (Operation *body_op : body_ops) {
-            Operation *cloned = body->pushBack(body_op->clone(mapping));
+        for (auto &clone : Operation::cloneRange(body_ops, mapping)) {
+            Operation *cloned = body->pushBack(std::move(clone));
             OpBuilder materialize(body, cloned);
             substituteIV(cloned, iv, repl, {iv}, materialize);
         }

@@ -147,7 +147,14 @@ void applyPartitionPlan(Value *memref, const PartitionPlan &plan);
 
 /** @name Redundancy elimination */
 ///@{
+/** -simplify-affine-if over every affine.if in @p scope: one
+ * innermost-first sweep (see simplifyAffineIfOp). */
 bool applySimplifyAffineIf(Operation *scope);
+/** Simplify one affine.if: drop constraints proven always true, inline
+ * the then (else) block when the condition always holds (never holds)
+ * and erase the if. Returns true if the IR changed; @p op may then be
+ * gone. */
+bool simplifyAffineIfOp(Operation *op);
 bool applyAffineStoreForward(Operation *scope);
 bool applySimplifyMemrefAccess(Operation *scope);
 /** -canonicalize: constant folding, algebraic identities, DCE. */

@@ -81,8 +81,10 @@ inlineBlockBefore(Block *from, Operation *anchor)
         dest->insertBefore(anchor, from->take(op));
 }
 
+} // namespace
+
 bool
-simplifyIf(Operation *op)
+simplifyAffineIfOp(Operation *op)
 {
     AffineIfOp if_op(op);
     IntegerSet set = if_op.condition();
@@ -126,24 +128,21 @@ simplifyIf(Operation *op)
     return false;
 }
 
-} // namespace
-
 bool
 applySimplifyAffineIf(Operation *scope)
 {
+    // A verdict reads only loop bounds and constants, and simplifying an
+    // if changes neither, so each if is judged once, on a list collected
+    // once. Innermost first: erasing or inlining an if only ever erases or
+    // moves ifs the sweep has already visited.
+    std::vector<Operation *> ifs;
+    scope->walkPostOrder([&](Operation *op) {
+        if (op->is(ops::AffineIf))
+            ifs.push_back(op);
+    });
     bool changed = false;
-    bool progress = true;
-    while (progress) {
-        progress = false;
-        std::vector<Operation *> ifs = scope->collect(ops::AffineIf);
-        for (Operation *op : ifs) {
-            if (simplifyIf(op)) {
-                progress = true;
-                break; // IR changed; re-collect.
-            }
-        }
-        changed |= progress;
-    }
+    for (Operation *op : ifs)
+        changed |= simplifyAffineIfOp(op);
     return changed;
 }
 

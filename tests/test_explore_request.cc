@@ -7,6 +7,7 @@
  * that keeps the three front ends from drifting apart.
  */
 
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -247,6 +248,54 @@ TEST(ExploreRequest, NonNumericCountsShareTheDiagnosticShape)
     ASSERT_TRUE(parsed.has_value());
     EXPECT_EQ(exploreRequestFromJson(from_json, *parsed),
               "threads expects an unsigned integer, got '-1'");
+}
+
+/** scalehls-opt's integral pass option @p flag given @p value is
+ * rejected with the shared diagnostic naming @p bad, and the decoded
+ * field is left as it was. */
+void
+expectPassOptionRejected(const std::string &flag, const std::string &value,
+                         const std::string &bad)
+{
+    SCOPED_TRACE(flag + "=" + value);
+    std::string expected =
+        flag + " expects an unsigned integer, got '" + bad + "'";
+    std::vector<int64_t> sizes{7};
+    int64_t factor = 7;
+    if (flag == "-affine-loop-tile") {
+        EXPECT_EQ(decodeFlagIntList(flag, value, sizes), expected);
+    } else {
+        EXPECT_EQ(decodeFlagInt(flag, value, factor), expected);
+    }
+    EXPECT_EQ(sizes, std::vector<int64_t>{7});
+    EXPECT_EQ(factor, 7);
+}
+
+TEST(PassOptions, MalformedValuesGetTheSharedDiagnostic)
+{
+    // Each must be a diagnostic, never an uncaught std::stoll exception.
+    expectPassOptionRejected("-affine-loop-unroll", "abc", "abc");
+    expectPassOptionRejected("-loop-pipelining", "x", "x");
+    expectPassOptionRejected("-func-pipelining", "x", "x");
+    expectPassOptionRejected("-affine-loop-tile", "4,x", "x");
+    std::string huge = "99999999999999999999";
+    expectPassOptionRejected("-affine-loop-unroll", huge, huge);
+    // Neither a negative value nor an empty list element decodes.
+    expectPassOptionRejected("-affine-loop-unroll", "-1", "-1");
+    expectPassOptionRejected("-affine-loop-tile", "4,", "");
+}
+
+TEST(PassOptions, WellFormedValuesDecode)
+{
+    int64_t factor = 0;
+    std::string max = std::to_string(std::numeric_limits<int64_t>::max());
+    EXPECT_EQ(decodeFlagInt("-affine-loop-unroll", max, factor), "");
+    EXPECT_EQ(factor, std::numeric_limits<int64_t>::max());
+    std::vector<int64_t> sizes{7};
+    EXPECT_EQ(decodeFlagIntList("-affine-loop-tile", "1,2,16", sizes), "");
+    EXPECT_EQ(sizes, (std::vector<int64_t>{1, 2, 16}));
+    EXPECT_EQ(decodeFlagIntList("-affine-loop-tile", "", sizes), "");
+    EXPECT_TRUE(sizes.empty());
 }
 
 TEST(ExploreRequest, BareAuditFlagArmsAuditors)

@@ -87,6 +87,137 @@ TEST(IR, MoveBeforeAfter)
     EXPECT_EQ(c1->prevOp(), c0);
 }
 
+/** The names of @p block's ops, space-separated, read forwards through
+ * nextOp() and checked against the list order, the recorded positions
+ * and prevOp() on the way. */
+std::string
+linkedNames(Block *block)
+{
+    std::string names;
+    Operation *prev = nullptr;
+    auto it = block->ops().begin();
+    Operation *op = block->empty() ? nullptr : block->front();
+    for (; op; op = op->nextOp(), ++it) {
+        EXPECT_EQ(op, it->get());
+        EXPECT_EQ(op->parentBlock(), block);
+        EXPECT_TRUE(op->position() == it);
+        EXPECT_EQ(op->prevOp(), prev);
+        names += (names.empty() ? "" : " ") + op->name();
+        prev = op;
+    }
+    EXPECT_TRUE(it == block->ops().end());
+    return names;
+}
+
+std::unique_ptr<Operation>
+namedOp(const std::string &name)
+{
+    return Operation::create(name, {}, {});
+}
+
+bool
+hasBrokenLinks(Operation *root)
+{
+    auto errors = verifyErrors(root, VerifyLevel::Structural);
+    for (const VerifyError &e : errors)
+        if (e.kind == VerifyKind::BrokenOpLink)
+            return true;
+    return false;
+}
+
+TEST(IR, InsertAtFrontBackAndMiddle)
+{
+    SimpleFunc f;
+    Block *body = funcBody(f.func); // holds func.return
+    Operation *ret = body->back();
+    Operation *b = body->insertBefore(ret, namedOp("t.b"));
+    body->pushFront(namedOp("t.a"));
+    body->pushBack(namedOp("t.e"));
+    body->insertAfter(b, namedOp("t.c"));
+    body->insertBefore(nullptr, namedOp("t.f")); // appends
+    body->insertBefore(ret, namedOp("t.d"));
+    // The verifier first: a wrong position would make the walk below
+    // dereference a foreign list node.
+    ASSERT_FALSE(hasBrokenLinks(f.module.get()));
+    EXPECT_EQ(linkedNames(body), "t.a t.b t.c t.d func.return t.e t.f");
+    EXPECT_EQ(body->front()->prevOp(), nullptr);
+    EXPECT_EQ(body->back()->nextOp(), nullptr);
+
+    // Erasing at the front, the back and in the middle relinks the
+    // neighbours.
+    body->front()->erase();
+    body->back()->erase();
+    b->nextOp()->erase();
+    ASSERT_FALSE(hasBrokenLinks(f.module.get()));
+    EXPECT_EQ(linkedNames(body), "t.b t.d func.return t.e");
+}
+
+TEST(IR, NextPrevAtBothEnds)
+{
+    SimpleFunc f;
+    Block *body = funcBody(f.func);
+    Operation *ret = body->front();
+    EXPECT_EQ(ret->prevOp(), nullptr); // sole op: both ends at once
+    EXPECT_EQ(ret->nextOp(), nullptr);
+    Operation *first = body->pushFront(namedOp("t.first"));
+    EXPECT_EQ(first->prevOp(), nullptr);
+    EXPECT_EQ(first->nextOp(), ret);
+    EXPECT_EQ(ret->prevOp(), first);
+    EXPECT_EQ(ret->nextOp(), nullptr);
+}
+
+TEST(IR, TakeThenReinsertIntoAnotherBlock)
+{
+    SimpleFunc f;
+    Block *body = funcBody(f.func);
+    OpBuilder b(body, body->back());
+    Block *src = createAffineFor(b, 0, 4).body();
+    Block *dst = createAffineFor(b, 0, 4).body();
+    Operation *x = src->pushBack(namedOp("t.x"));
+    src->pushBack(namedOp("t.y"));
+    dst->pushBack(namedOp("t.z"));
+
+    std::unique_ptr<Operation> owned = src->take(x);
+    EXPECT_EQ(owned->parentBlock(), nullptr);
+    EXPECT_EQ(linkedNames(src), "t.y");
+    EXPECT_EQ(dst->insertBefore(dst->front(), std::move(owned)), x);
+    EXPECT_EQ(linkedNames(dst), "t.x t.z");
+    EXPECT_FALSE(hasBrokenLinks(f.module.get()));
+
+    // A taken op can go back where it came from, at either end.
+    src->pushBack(dst->take(x));
+    EXPECT_EQ(linkedNames(src), "t.y t.x");
+    EXPECT_EQ(linkedNames(dst), "t.z");
+    src->pushFront(src->take(x));
+    EXPECT_EQ(linkedNames(src), "t.x t.y");
+    EXPECT_FALSE(hasBrokenLinks(f.module.get()));
+}
+
+TEST(IR, MoveBeforeAfterAcrossBlocks)
+{
+    SimpleFunc f;
+    Block *body = funcBody(f.func);
+    OpBuilder b(body, body->back());
+    AffineForOp first = createAffineFor(b, 0, 4);
+    AffineForOp second = createAffineFor(b, 0, 4);
+    Operation *p = first.body()->pushBack(namedOp("t.p"));
+    Operation *q = first.body()->pushBack(namedOp("t.q"));
+    Operation *r = second.body()->pushBack(namedOp("t.r"));
+
+    q->moveBefore(r);
+    EXPECT_EQ(linkedNames(first.body()), "t.p");
+    EXPECT_EQ(linkedNames(second.body()), "t.q t.r");
+    p->moveAfter(r);
+    EXPECT_TRUE(first.body()->empty());
+    EXPECT_EQ(linkedNames(second.body()), "t.q t.r t.p");
+    // Out of the loop, to the front of the function body.
+    r->moveBefore(body->front());
+    EXPECT_EQ(body->front(), r);
+    EXPECT_EQ(r->nextOp(), first.op());
+    EXPECT_EQ(linkedNames(second.body()), "t.q t.p");
+    EXPECT_FALSE(hasBrokenLinks(f.module.get()));
+}
+
 TEST(IR, WalkOrders)
 {
     SimpleFunc f;
@@ -215,6 +346,66 @@ TEST(IR, ClonePrepopulatedMappingRedirectsExternals)
     // Pre-seeded entries survive alongside the new ones.
     EXPECT_EQ(mapping.at(c0->result(0)), c1->result(0));
     EXPECT_EQ(mapping.size(), 1 + cloned_loop->countValues());
+}
+
+TEST(IR, CloneRangeKeepsOrderAndRemapsChains)
+{
+    // A def-use chain load -> add -> mul and a nested loop storing the
+    // chain's end: the range clone must keep the order and redirect
+    // every later op to the earlier clones, exactly like per-op
+    // clone(mapping) calls sharing one map.
+    SimpleFunc f;
+    Block *body = funcBody(f.func);
+    OpBuilder b(body, body->back());
+    AffineForOp loop = createAffineFor(b, 0, 8);
+    OpBuilder in(loop.body());
+    Value *iv = loop.inductionVar();
+    AffineMap id = AffineMap::identity(1);
+    Operation *load = createAffineLoad(in, f.arg, id, {iv});
+    Value *loaded = load->result(0);
+    Operation *add = createBinary(in, ops::AddF, loaded, loaded);
+    Operation *mul = createBinary(in, ops::MulF, add->result(0), loaded);
+    AffineForOp nested = createAffineFor(in, 0, 2);
+    OpBuilder nin(nested.body());
+    Value *jv = nested.inductionVar();
+    createAffineStore(nin, mul->result(0), f.arg, id, {jv});
+    std::vector<Operation *> range = loop.body()->opsVector();
+
+    std::unordered_map<Value *, Value *> range_map;
+    auto ranged = Operation::cloneRange(range, range_map);
+    std::unordered_map<Value *, Value *> per_op_map;
+    std::vector<std::unique_ptr<Operation>> per_op;
+    for (Operation *op : range)
+        per_op.push_back(op->clone(per_op_map));
+
+    ASSERT_EQ(ranged.size(), range.size());
+    for (size_t i = 0; i < range.size(); ++i) {
+        EXPECT_EQ(ranged[i]->name(), range[i]->name());
+        EXPECT_EQ(printOp(ranged[i].get()), printOp(per_op[i].get()));
+    }
+    EXPECT_EQ(ranged[1]->operand(0), ranged[0]->result(0));
+    EXPECT_EQ(ranged[2]->operand(0), ranged[1]->result(0));
+    EXPECT_EQ(ranged[2]->operand(1), ranged[0]->result(0));
+    Operation *store = ranged[3]->collect(ops::AffineStore).front();
+    EXPECT_EQ(store->operand(0), ranged[2]->result(0));
+    // The IV is defined outside the range: it keeps its identity.
+    EXPECT_EQ(ranged[0]->operand(1), iv);
+    EXPECT_EQ(range_map.size(), per_op_map.size());
+    for (const auto &[from, to] : range_map)
+        EXPECT_EQ(to->type(), per_op_map.at(from)->type());
+
+    // Seeded entries are honoured and kept, as with clone(mapping).
+    std::unordered_map<Value *, Value *> seeded{{iv, f.arg}};
+    auto reseeded = Operation::cloneRange(range, seeded);
+    EXPECT_EQ(reseeded[0]->operand(1), f.arg);
+    EXPECT_EQ(seeded.at(iv), f.arg);
+    EXPECT_EQ(seeded.size(), 1 + range_map.size());
+    EXPECT_TRUE(Operation::cloneRange({}, seeded).empty());
+    // The detached clones use each other's results; drop those uses so
+    // the vectors may destroy them in any order.
+    for (auto *clones : {&ranged, &per_op, &reseeded})
+        for (auto &op : *clones)
+            op->dropAllReferences();
 }
 
 TEST(IR, IsAncestorOf)

@@ -1,6 +1,8 @@
 /** @file Tests for loop-level transforms: perfectization, RVB,
  * permutation/order-opt, tiling, unrolling. */
 
+#include <limits>
+
 #include <gtest/gtest.h>
 
 #include "frontend/irgen.h"
@@ -8,6 +10,7 @@
 #include "ir/verifier.h"
 #include "model/polybench.h"
 #include "transform/pass.h"
+#include "transform/utils.h"
 
 namespace scalehls {
 namespace {
@@ -286,6 +289,80 @@ TEST(Unroll, ClampsToDivisor)
     auto band = getLoopBands(func)[0];
     ASSERT_TRUE(applyLoopUnroll(band[0], 5)); // -> factor 4.
     EXPECT_EQ(func->collect(ops::AffineStore).size(), 4u);
+}
+
+TEST(Unroll, SizeGuardDoesNotOverflow)
+{
+    // trip * ops overflows int64_t for a 2^62-trip loop; the guard must
+    // still refuse instead of unrolling forever.
+    auto module = affineModule(
+        "void k(float A[1]) {\n"
+        "  for (int j = 0; j < 4611686018427387904; j++) A[0] = 1.0f;\n"
+        "}");
+    Operation *func = getTopFunc(module.get());
+    std::string before = printOp(module.get());
+    Operation *loop = getLoopBands(func)[0][0];
+    EXPECT_FALSE(applyLoopUnroll(loop, std::numeric_limits<int64_t>::max()));
+    EXPECT_EQ(printOp(module.get()), before);
+}
+
+/** The reference unroll iteration: every body op is cloned by its own
+ * clone(mapping) call and inserted before @p anchor, then its IV uses
+ * are substituted. */
+void
+perOpUnrollIteration(AffineForOp loop, const std::vector<Operation *> &body,
+                     Block *dest, Operation *anchor, const AffineExpr &repl,
+                     const std::vector<Value *> &repl_operands)
+{
+    std::unordered_map<Value *, Value *> mapping;
+    for (Operation *body_op : body) {
+        Operation *cloned =
+            dest->insertBefore(anchor, body_op->clone(mapping));
+        OpBuilder materialize(dest, cloned);
+        substituteIV(cloned, loop.inductionVar(), repl, repl_operands,
+                     materialize);
+    }
+}
+
+TEST(Unroll, RangeCloneMatchesPerOpCloning)
+{
+    // Intra-body def-use chains (load -> add -> mul -> store, a scalar
+    // buffer round trip) and a nested loop that reads the chain.
+    const std::string source =
+        "void k(float A[8], float B[8], float C[8][3]) {\n"
+        "  for (int i = 0; i < 8; i++) {\n"
+        "    float t = (A[i] + B[i]) * A[i];\n"
+        "    B[i] = t + t;\n"
+        "    for (int j = 0; j < 3; j++)\n"
+        "      C[i][j] = C[i][j] * t + A[i];\n"
+        "  }\n"
+        "}";
+    for (int64_t factor : {8, 4}) {
+        SCOPED_TRACE(factor);
+        auto unrolled = affineModule(source);
+        Operation *loop_op = getLoopBands(getTopFunc(unrolled.get()))[0][0];
+        ASSERT_TRUE(applyLoopUnroll(loop_op, factor));
+        EXPECT_TRUE(verifyOk(unrolled.get()));
+
+        auto reference = affineModule(source);
+        AffineForOp loop(getLoopBands(getTopFunc(reference.get()))[0][0]);
+        auto body = loop.body()->opsVector();
+        if (factor == 8) {
+            Block *parent = loop.op()->parentBlock();
+            for (int64_t k = 0; k < 8; ++k)
+                perOpUnrollIteration(loop, body, parent, loop.op(),
+                                     loop.lowerBoundMap().result(0) + k,
+                                     loop.lowerBoundOperands());
+            loop.op()->erase();
+        } else {
+            loop.setStep(factor);
+            for (int64_t k = 1; k < factor; ++k)
+                perOpUnrollIteration(loop, body, loop.body(), nullptr,
+                                     getAffineDimExpr(0) + k,
+                                     {loop.inductionVar()});
+        }
+        EXPECT_EQ(printOp(unrolled.get()), printOp(reference.get()));
+    }
 }
 
 } // namespace

@@ -60,17 +60,6 @@ usage()
         << exploreFlagUsage();
 }
 
-std::vector<int64_t>
-parseIntList(const std::string &text)
-{
-    std::vector<int64_t> values;
-    std::istringstream is(text);
-    std::string token;
-    while (std::getline(is, token, ','))
-        values.push_back(std::stoll(token));
-    return values;
-}
-
 } // namespace
 
 int
@@ -94,6 +83,17 @@ main(int argc, char **argv)
     ExploreRequest request;
     request.applyEnvDefaults();
     PassManager pm;
+
+    // Integral pass options decode through the shared checked decoder:
+    // a malformed value is a diagnostic and exit 1, never an abort.
+    std::string option_error;
+    auto int_option = [&](const std::string &name, const std::string &value,
+                          int64_t fallback) {
+        int64_t decoded = fallback;
+        if (!value.empty())
+            option_error = decodeFlagInt(name, value, decoded);
+        return decoded;
+    };
 
     auto value_of = [](const std::string &arg) {
         auto pos = arg.find('=');
@@ -138,18 +138,17 @@ main(int argc, char **argv)
         } else if (name == "-affine-loop-order-opt") {
             pm.addPass(createLoopOrderOptPass());
         } else if (name == "-affine-loop-tile") {
-            pm.addPass(createLoopTilePass(parseIntList(value)));
+            std::vector<int64_t> sizes;
+            option_error = decodeFlagIntList(name, value, sizes);
+            pm.addPass(createLoopTilePass(sizes));
         } else if (name == "-affine-loop-unroll") {
-            pm.addPass(createLoopUnrollPass(
-                value.empty() ? 2 : std::stoll(value)));
+            pm.addPass(createLoopUnrollPass(int_option(name, value, 2)));
         } else if (name == "-affine-loop-merge") {
             pm.addPass(createLoopMergePass());
         } else if (name == "-loop-pipelining") {
-            pm.addPass(createLoopPipeliningPass(
-                value.empty() ? 1 : std::stoll(value)));
+            pm.addPass(createLoopPipeliningPass(int_option(name, value, 1)));
         } else if (name == "-func-pipelining") {
-            pm.addPass(createFuncPipeliningPass(
-                value.empty() ? 1 : std::stoll(value)));
+            pm.addPass(createFuncPipeliningPass(int_option(name, value, 1)));
         } else if (name == "-array-partition") {
             pm.addPass(createArrayPartitionPass());
         } else if (name == "-func-inline") {
@@ -169,6 +168,10 @@ main(int argc, char **argv)
         } else {
             std::cerr << "unknown argument: " << arg << "\n";
             usage();
+            return 1;
+        }
+        if (!option_error.empty()) {
+            std::cerr << option_error << "\n";
             return 1;
         }
     }
