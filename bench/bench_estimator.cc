@@ -138,8 +138,9 @@ runScalingSection(const std::vector<unsigned> &configs, bool smoke)
             if (threads == 1)
                 base_rate = rate;
             all_identical &= matches;
+            double hit_rate = cache.funcStats().hitRate();
             std::printf("%-10u %-12.4f %-12.1f %-12.1f %s\n", threads,
-                        seconds, rate, cache.hitRate() * 100,
+                        seconds, rate, hit_rate * 100,
                         matches ? "yes" : "NO (BUG)");
             std::printf(
                 "JSON {\"bench\":\"estimator\",\"design\":\"%s\","
@@ -147,7 +148,7 @@ runScalingSection(const std::vector<unsigned> &configs, bool smoke)
                 "\"points_per_second\":%.1f,\"speedup\":%.2f,"
                 "\"cache_hit_rate\":%.3f,\"identical\":%s}\n",
                 design.name.c_str(), threads, reps, seconds, rate,
-                base_rate > 0 ? rate / base_rate : 1.0, cache.hitRate(),
+                base_rate > 0 ? rate / base_rate : 1.0, hit_rate,
                 matches ? "true" : "false");
         }
         std::printf("\n");
@@ -211,16 +212,18 @@ runBandCacheSection(const std::vector<unsigned> &configs)
             matches &= identical(estimator.estimateModule(), reference[i]);
         }
         ok &= matches;
+        CacheStats func = cache.funcStats();
+        CacheStats band = cache.bandStats();
         std::printf("%-10u %-14.1f %-14.1f %-14zu %s\n", threads,
-                    cache.hitRate() * 100, cache.bandHitRate() * 100,
-                    cache.bandHits(), matches ? "yes" : "NO (BUG)");
+                    func.hitRate() * 100, band.hitRate() * 100, band.hits,
+                    matches ? "yes" : "NO (BUG)");
         std::printf("JSON {\"bench\":\"estimator_band_cache\","
                     "\"design\":\"2mm-16\",\"threads\":%u,"
                     "\"func_hit_rate\":%.3f,\"band_hit_rate\":%.3f,"
                     "\"band_hits\":%zu,\"identical\":%s}\n",
-                    threads, cache.hitRate(), cache.bandHitRate(),
-                    cache.bandHits(), matches ? "true" : "false");
-        if (cache.bandHits() == 0) {
+                    threads, func.hitRate(), band.hitRate(), band.hits,
+                    matches ? "true" : "false");
+        if (band.hits == 0) {
             std::printf("BAND CACHE CHECK FAILED: no band-tier hits\n");
             ok = false;
         }
@@ -294,8 +297,8 @@ runMaterializationSection(const std::vector<unsigned> &configs,
         for (size_t i = 0; matches && i < results.size(); ++i)
             matches = identical(results[i], reference[i]);
 
-        size_t full = evaluator.numFullMaterializations();
-        size_t fast = evaluator.numFastPathHits();
+        size_t full = evaluator.stats().fullMaterializations;
+        size_t fast = evaluator.stats().fastPathHits;
         double per_point =
             static_cast<double>(full) / static_cast<double>(all.size());
         double rate = all.size() / seconds;
@@ -379,16 +382,17 @@ runPartitionKeySection(const std::vector<unsigned> &configs, bool smoke)
             matches &= identical(estimator.estimateModule(), reference[i]);
         }
         ok &= matches;
+        CacheStats band = cache.bandStats();
         std::printf("%-10u %-14.1f %-14zu %-14zu %s\n", threads,
-                    cache.bandHitRate() * 100, cache.bandHits(),
-                    cache.bandMaskedHits(), matches ? "yes" : "NO (BUG)");
+                    band.hitRate() * 100, band.hits, band.maskedHits,
+                    matches ? "yes" : "NO (BUG)");
         std::printf("JSON {\"bench\":\"estimator_band_keys\","
                     "\"design\":\"2mm-%d\",\"threads\":%u,"
                     "\"band_hits\":%zu,\"band_hit_rate\":%.3f,"
                     "\"masked_hits\":%zu,\"identical\":%s}\n",
-                    size, threads, cache.bandHits(), cache.bandHitRate(),
-                    cache.bandMaskedHits(), matches ? "true" : "false");
-        if (cache.bandMaskedHits() == 0) {
+                    size, threads, band.hits, band.hitRate(),
+                    band.maskedHits, matches ? "true" : "false");
+        if (band.maskedHits == 0) {
             std::printf("PARTITION KEY CHECK FAILED: no partition-masked "
                         "band-tier hits\n");
             ok = false;
@@ -475,11 +479,12 @@ runProbeSection(const std::vector<unsigned> &configs, bool smoke)
             for (size_t i = 0; matches && i < first.size(); ++i)
                 matches = identical(first[i], reference[i]);
 
-            size_t full = evaluator.numFullMaterializations();
-            size_t overlay = evaluator.numOverlayMaterializations();
-            size_t composed = evaluator.numPlanComposed();
-            size_t infeasible = evaluator.numPlanInfeasible();
-            size_t mismatches = evaluator.numPlanMismatches();
+            DSEStats stats = evaluator.stats();
+            size_t full = stats.fullMaterializations;
+            size_t overlay = stats.overlayMaterializations;
+            size_t composed = stats.planComposed;
+            size_t infeasible = stats.planInfeasible;
+            size_t mismatches = stats.planMismatches;
             double per_point = static_cast<double>(full) /
                                static_cast<double>(all.size());
 
@@ -577,10 +582,10 @@ runAuditedSweep(const char *design, DesignSpace &space,
             for (size_t i = 0; matches && i < replayed.size(); ++i)
                 matches = identical(replayed[i], reference[i]);
             *out_identical = matches;
-            *checks = evaluator.numAuditChecks() +
-                      replay.numAuditChecks();
-            *violations = evaluator.numAuditViolations() +
-                          replay.numAuditViolations();
+            DSEStats stats = evaluator.stats();
+            stats += replay.stats();
+            *checks = stats.auditChecks;
+            *violations = stats.auditViolations;
             return seconds;
         };
 
@@ -795,8 +800,8 @@ runDNNSection(const std::vector<unsigned> &configs, bool smoke)
                 results.insert(results.end(), rest.begin(), rest.end());
                 for (size_t i = 0; i < results.size(); ++i)
                     matches &= identical(results[i], references[k][i]);
-                full += evaluator.numFullMaterializations();
-                fast += evaluator.numFastPathHits();
+                full += evaluator.stats().fullMaterializations;
+                fast += evaluator.stats().fastPathHits;
             }
             double seconds =
                 std::chrono::duration<double>(
@@ -905,7 +910,7 @@ runPersistSection(bool smoke)
             auto rest = evaluator.evaluateBatch(sweep.interiors[k]);
             qors.insert(qors.end(), results.begin(), results.end());
             qors.insert(qors.end(), rest.begin(), rest.end());
-            full += evaluator.numFullMaterializations();
+            full += evaluator.stats().fullMaterializations;
         }
         return std::chrono::duration<double>(
                    std::chrono::steady_clock::now() - start)

@@ -47,8 +47,8 @@ runAtThreads(Operation *module, unsigned threads)
     result.seconds = std::chrono::duration<double>(
                          std::chrono::steady_clock::now() - start)
                          .count();
-    result.evaluations = engine.numEvaluations();
-    result.materializations = engine.numMaterializations();
+    result.evaluations = engine.stats().evaluations;
+    result.materializations = engine.stats().materializations;
     result.frontier = std::move(frontier);
     return result;
 }

@@ -79,7 +79,7 @@ runKernelDSE(const std::string &kernel, int64_t n,
     result.optimizedLatency = chosen->qor.latency;
     result.speedup = static_cast<double>(result.baselineLatency) /
                      static_cast<double>(result.optimizedLatency);
-    result.evaluations = engine.numEvaluations();
+    result.evaluations = engine.stats().evaluations;
     result.module = space.materialize(chosen->point);
     if (result.module)
         result.partition = DesignSpace::partitionSummary(

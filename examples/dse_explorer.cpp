@@ -40,7 +40,7 @@ main()
     auto frontier = engine.explore();
 
     std::printf("explored %zu points; Pareto frontier (%zu points):\n",
-                engine.numEvaluations(), frontier.size());
+                engine.stats().evaluations, frontier.size());
     std::printf("%-14s %-8s %-4s %-4s %-12s %-15s %s\n", "Latency", "DSP",
                 "LP", "RVB", "PermMap", "Tiles", "II");
     for (const EvaluatedPoint &point : frontier) {

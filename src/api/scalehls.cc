@@ -332,9 +332,7 @@ Compiler::optimizeFunctions(const ExploreRequest &request)
         out.qor.latency = kInfeasibleQoR;
         out.qor.interval = kInfeasibleQoR;
         out.frontier = exploration.retained;
-        out.evaluations = exploration.engine->numEvaluations();
-        out.auditChecks = exploration.engine->numAuditChecks();
-        out.auditViolations = exploration.engine->numAuditViolations();
+        static_cast<DSEStats &>(out) = exploration.engine->stats();
         auto chosen = DSEEngine::finalize(exploration.frontier, share);
         if (!chosen)
             return;
@@ -505,8 +503,8 @@ Compiler::optimizeModel(const ExploreRequest &request)
             const KernelExploration &e =
                 explorations[kernel_of_stage[i]];
             stage.frontier = e.retained;
-            stage.evaluations = e.engine->numEvaluations();
-            out.evaluations += stage.evaluations;
+            static_cast<DSEStats &>(stage) = e.engine->stats();
+            out += stage;
         }
         if (out.allocation.feasible) {
             stage.chosen = out.allocation.choice[i];

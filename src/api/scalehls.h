@@ -73,8 +73,9 @@ class Compiler
 
     /** Per-function outcome of optimizeFunctions. `qor.feasible` tells
      * whether a design fitting the kernel's budget share was found (an
-     * infeasible result carries the kInfeasibleQoR sentinel). */
-    struct FuncDSEResult
+     * infeasible result carries the kInfeasibleQoR sentinel). The
+     * DSEStats base holds the kernel exploration's counters. */
+    struct FuncDSEResult : DSEStats
     {
         std::string func;          ///< Function symbol name.
         DesignSpace::Point point;  ///< Chosen design point.
@@ -84,10 +85,6 @@ class Compiler
          * resources so whole-model composition can re-finalize under a
          * different budget than the per-kernel share. */
         std::vector<FrontierPoint> frontier;
-        size_t evaluations = 0;
-        /** Audit-mode counters (zero unless DSEOptions::auditMode). */
-        size_t auditChecks = 0;
-        size_t auditViolations = 0;
     };
 
     /** Multi-kernel DSE: run an independent design-space exploration for
@@ -101,8 +98,9 @@ class Compiler
         const ExploreRequest &request);
 
     /** Per-stage outcome of optimizeModel: one entry per call in the
-     * dataflow top's body, in body order. */
-    struct ModelStageResult
+     * dataflow top's body, in body order. The DSEStats base holds the
+     * stage exploration's counters (zero for fixed stages). */
+    struct ModelStageResult : DSEStats
     {
         std::string func; ///< Stage function symbol name.
         /** True when the stage was explored (banded, uniquely called);
@@ -116,11 +114,11 @@ class Compiler
         /** Kernel stages: the retained frontier the allocator chose
          * from. Empty for fixed stages. */
         std::vector<FrontierPoint> frontier;
-        size_t evaluations = 0;
     };
 
-    /** Whole-model outcome of optimizeModel. */
-    struct ModelDSEResult
+    /** Whole-model outcome of optimizeModel. The DSEStats base is the
+     * sum of the kernel stages' counters. */
+    struct ModelDSEResult : DSEStats
     {
         std::vector<ModelStageResult> stages;
         /** The exchange-refined latency-balancing allocation. */
@@ -140,7 +138,6 @@ class Compiler
         /** True when the stitched module passed the IR verifier and
          * every materialized stage re-estimated to its frontier QoR. */
         bool verified = false;
-        size_t evaluations = 0; ///< Total across all kernel stages.
         double seconds = 0;
     };
 

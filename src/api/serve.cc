@@ -94,21 +94,18 @@ frontierJson(const std::vector<FrontierPoint> &frontier)
     return out + "}";
 }
 
+/** Every DSEStats counter as `"snake_name":value` members. */
 std::string
-dseStatsJson(const DSEResult &result)
+dseStatsJson(const DSEStats &stats)
 {
-    return "\"evaluations\":" +
-           num(static_cast<int64_t>(result.evaluations)) +
-           ",\"full_materializations\":" +
-           num(static_cast<int64_t>(result.fullMaterializations)) +
-           ",\"overlay_materializations\":" +
-           num(static_cast<int64_t>(result.overlayMaterializations)) +
-           ",\"plan_composed\":" +
-           num(static_cast<int64_t>(result.planComposed)) +
-           ",\"plan_mismatches\":" +
-           num(static_cast<int64_t>(result.planMismatches)) +
-           ",\"fast_path_hits\":" +
-           num(static_cast<int64_t>(result.fastPathHits));
+    std::string out;
+    DSEStats::forEachField(
+        [&](const char *name, size_t value) {
+            out += (out.empty() ? "\"" : ",\"") + std::string(name) +
+                   "\":" + num(static_cast<int64_t>(value));
+        },
+        stats);
+    return out;
 }
 
 /** Per-request exploration setup over the shared decode/validate path
@@ -304,9 +301,7 @@ ServeSession::handleModelRequest(const JsonValue &req,
         out += result->composedVerified ? "true" : "false";
         out += ",\"verified\":";
         out += result->verified ? "true" : "false";
-        out += ",\"evaluations\":" +
-               num(static_cast<int64_t>(result->evaluations)) +
-               ",\"stages\":" +
+        out += "," + dseStatsJson(*result) + ",\"stages\":" +
                num(static_cast<int64_t>(result->stages.size()));
     }
     out += ",\"cache\":" + cacheJson(cache_) + "}";

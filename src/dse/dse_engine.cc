@@ -33,17 +33,6 @@ DSEEngine::explore()
         !options_.cacheLoadPath.empty())
         loadEstimateCacheLogged(*estimates, options_.cacheLoadPath);
     estimates_in_use_ = estimates;
-    size_t hits_before = estimates ? estimates->hits() : 0;
-    size_t lookups_before = estimates ? estimates->lookups() : 0;
-    size_t band_hits_before = estimates ? estimates->bandHits() : 0;
-    size_t band_lookups_before =
-        estimates ? estimates->bandLookups() : 0;
-    size_t masked_before = estimates ? estimates->bandMaskedHits() : 0;
-    size_t schedule_hits_before =
-        estimates ? estimates->scheduleHits() : 0;
-    size_t schedule_lookups_before =
-        estimates ? estimates->scheduleLookups() : 0;
-    size_t cross_band_before = estimates ? estimates->crossBandHits() : 0;
 
     evaluator_ = std::make_unique<CachingEvaluator>(
         space_, pool_.get(), estimates, options_.auditMode);
@@ -66,32 +55,8 @@ DSEEngine::explore()
     SearchStrategy::create(options_.strategy)
         ->run(ctx, rng, options_.maxIterations);
 
-    materializations_ = evaluator.numMaterializations();
-    full_materializations_ = evaluator.numFullMaterializations();
-    fast_path_hits_ = evaluator.numFastPathHits();
-    plan_composed_ = evaluator.numPlanComposed();
-    overlay_materializations_ = evaluator.numOverlayMaterializations();
-    plan_infeasible_ = evaluator.numPlanInfeasible();
-    plan_mismatches_ = evaluator.numPlanMismatches();
-    audit_checks_ = evaluator.numAuditChecks();
-    audit_violations_ = evaluator.numAuditViolations();
-    cross_band_hits_ =
-        estimates ? estimates->crossBandHits() - cross_band_before : 0;
-    cache_hits_ = evaluator.numCacheHits();
-    estimate_hits_ = estimates ? estimates->hits() - hits_before : 0;
-    estimate_lookups_ =
-        estimates ? estimates->lookups() - lookups_before : 0;
-    band_hits_ =
-        estimates ? estimates->bandHits() - band_hits_before : 0;
-    band_lookups_ =
-        estimates ? estimates->bandLookups() - band_lookups_before : 0;
-    band_masked_hits_ =
-        estimates ? estimates->bandMaskedHits() - masked_before : 0;
-    schedule_hits_ =
-        estimates ? estimates->scheduleHits() - schedule_hits_before : 0;
-    schedule_lookups_ =
-        estimates ? estimates->scheduleLookups() - schedule_lookups_before
-                  : 0;
+    stats_ = evaluator.stats();
+    stats_.evaluations = evaluated_.size();
 
     // Return the frontier sorted by latency. frontierIndices is already
     // ascending (latency, area, index); stable_sort keeps tie groups in
@@ -218,23 +183,7 @@ runDSE(Operation *module, const ResourceBudget &budget,
         // keep the QoR consistent with the module we actually return.
         result.qor = engine.verifiedQoR();
     }
-    result.evaluations = engine.numEvaluations();
-    result.estimateHits = engine.numEstimateHits();
-    result.estimateLookups = engine.numEstimateLookups();
-    result.bandEstimateHits = engine.numBandEstimateHits();
-    result.bandEstimateLookups = engine.numBandEstimateLookups();
-    result.scheduleHits = engine.numScheduleHits();
-    result.scheduleLookups = engine.numScheduleLookups();
-    result.fullMaterializations = engine.numFullMaterializations();
-    result.fastPathHits = engine.numFastPathHits();
-    result.bandMaskedHits = engine.numBandMaskedHits();
-    result.planComposed = engine.numPlanComposed();
-    result.overlayMaterializations = engine.numOverlayMaterializations();
-    result.planInfeasible = engine.numPlanInfeasible();
-    result.planMismatches = engine.numPlanMismatches();
-    result.crossBandHits = engine.numCrossBandHits();
-    result.auditChecks = engine.numAuditChecks();
-    result.auditViolations = engine.numAuditViolations();
+    static_cast<DSEStats &>(result) = engine.stats();
     result.moduleReused = engine.moduleReused();
     result.qorVerified = engine.qorVerified();
     result.seconds = std::chrono::duration<double>(

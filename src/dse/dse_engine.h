@@ -136,89 +136,34 @@ class DSEEngine
     {
         return evaluated_;
     }
-    /** Number of estimator invocations. */
-    size_t numEvaluations() const { return evaluated_.size(); }
-    /** Cache misses (points actually materialized) of the last explore. */
-    size_t numMaterializations() const { return materializations_; }
-    /** Evaluations served from the memo cache in the last explore. */
-    size_t numCacheHits() const { return cache_hits_; }
-    /** Function-estimate lookups resolved by the cross-point estimate
-     * cache during the last explore (delta over the cache used, so a
-     * sharedEstimates cache concurrently fed by other engines counts
-     * their traffic too — per-engine exact only for engine-local
-     * caches). */
-    size_t numEstimateHits() const { return estimate_hits_; }
-    /** Total function-estimate lookups of the last explore (same sharing
-     * caveat as numEstimateHits). */
-    size_t numEstimateLookups() const { return estimate_lookups_; }
-    /** Band-tier traffic of the last explore (same sharing caveat). */
-    size_t numBandEstimateHits() const { return band_hits_; }
-    size_t numBandEstimateLookups() const { return band_lookups_; }
-    /** Schedule-tier (phase-1 digest) traffic of the last explore (same
-     * sharing caveat). Lookups come from fast-path probes; hits count
-     * per-band entry reuse, so one fast-path-composed point scores one
-     * hit per band. */
-    size_t numScheduleHits() const { return schedule_hits_; }
-    size_t numScheduleLookups() const { return schedule_lookups_; }
-    /** Cache misses that ran the FULL pipeline (cleanup + partition +
-     * estimator walk) in the last explore. */
+    /** The counters of the last explore(), snapshotted at its end. */
+    const DSEStats &stats() const { return stats_; }
+    /** @name Ledger accessors
+     * One-line reads of stats(), kept because the frozen bench_ledger
+     * driver (bench/ledger/) calls them by name. New code reads
+     * stats(). */
+    ///@{
+    size_t numEvaluations() const { return stats_.evaluations; }
+    size_t numCacheHits() const { return stats_.memoHits; }
+    size_t numMaterializations() const { return stats_.materializations; }
     size_t numFullMaterializations() const
     {
-        return full_materializations_;
+        return stats_.fullMaterializations;
     }
-    /** Cache misses served by the band-incremental fast path. */
-    size_t numFastPathHits() const { return fast_path_hits_; }
-    /** Band-tier hits whose key masked a partition layout dim (hits the
-     * partition-sensitive keying would have missed; sharing caveat as
-     * numEstimateHits). */
-    size_t numBandMaskedHits() const { return band_masked_hits_; }
-    /** Fast-path hits composed with ZERO IR built (plan-first). */
-    size_t numPlanComposed() const { return plan_composed_; }
-    /** Cache misses materialized through a copy-on-write overlay (only
-     * the schedule-missing bands were built). */
     size_t numOverlayMaterializations() const
     {
-        return overlay_materializations_;
+        return stats_.overlayMaterializations;
     }
-    /** Points proved infeasible by the planner with zero IR. */
-    size_t numPlanInfeasible() const { return plan_infeasible_; }
-    /** Plan predictions contradicted by an overlay materialization (the
-     * point fell back to the validated full pipeline). */
-    size_t numPlanMismatches() const { return plan_mismatches_; }
-    /** Schedule-tier hits served by an entry another band (or function)
-     * recorded — the canonicalizing digest sharing entries across
-     * symmetric bands, e.g. 3mm's stages (sharing caveat as
-     * numEstimateHits). */
-    size_t numCrossBandHits() const { return cross_band_hits_; }
-    /** Auditor invocations of the last explore (0 unless auditMode). */
-    size_t numAuditChecks() const { return audit_checks_; }
-    /** Audit findings of the last explore. Each finding also forced the
-     * affected point onto the validated slow path, so a nonzero count
-     * flags a broken invariant without a wrong QoR having escaped. */
-    size_t numAuditViolations() const { return audit_violations_; }
+    size_t numPlanComposed() const { return stats_.planComposed; }
+    size_t numPlanInfeasible() const { return stats_.planInfeasible; }
+    size_t numPlanMismatches() const { return stats_.planMismatches; }
+    ///@}
 
   private:
     DesignSpace &space_;
     DSEOptions options_;
     std::vector<EvaluatedPoint> evaluated_;
-    size_t materializations_ = 0;
-    size_t cache_hits_ = 0;
-    size_t estimate_hits_ = 0;
-    size_t estimate_lookups_ = 0;
-    size_t band_hits_ = 0;
-    size_t band_lookups_ = 0;
-    size_t schedule_hits_ = 0;
-    size_t schedule_lookups_ = 0;
-    size_t full_materializations_ = 0;
-    size_t fast_path_hits_ = 0;
-    size_t band_masked_hits_ = 0;
-    size_t plan_composed_ = 0;
-    size_t overlay_materializations_ = 0;
-    size_t plan_infeasible_ = 0;
-    size_t plan_mismatches_ = 0;
-    size_t cross_band_hits_ = 0;
-    size_t audit_checks_ = 0;
-    size_t audit_violations_ = 0;
+    DSEStats stats_;
     std::optional<ResourceBudget> finalize_budget_;
     bool module_reused_ = false;
     bool qor_verified_ = false;
@@ -252,9 +197,9 @@ std::vector<FrontierPoint> retainFrontier(
     const DesignSpace &space, const std::vector<EvaluatedPoint> &frontier);
 
 /** Convenience: run the full flow on a C-level module — returns the
- * finalized optimized module plus its QoR, or nullopt if no feasible
- * design exists. */
-struct DSEResult
+ * finalized optimized module plus its QoR and the exploration's
+ * counters, or nullopt if no feasible design exists. */
+struct DSEResult : DSEStats
 {
     DesignSpace::Point point;
     QoRResult qor;
@@ -263,34 +208,6 @@ struct DSEResult
      * beyond the winner so callers can re-finalize under a different
      * budget or compose whole-model designs. */
     std::vector<FrontierPoint> frontier;
-    size_t evaluations = 0;
-    /** Cross-point estimate-cache traffic of the exploration (see
-     * DSEEngine::numEstimateHits for the shared-cache caveat). */
-    size_t estimateHits = 0;
-    size_t estimateLookups = 0;
-    size_t bandEstimateHits = 0;
-    size_t bandEstimateLookups = 0;
-    size_t scheduleHits = 0;
-    size_t scheduleLookups = 0;
-    /** Materialization-side stats: misses that paid the full pipeline
-     * vs. misses composed by the band-incremental fast path, and
-     * band-tier hits only the partition-aware keying could score. */
-    size_t fullMaterializations = 0;
-    size_t fastPathHits = 0;
-    size_t bandMaskedHits = 0;
-    /** Plan-first stats: zero-IR compositions, overlay (partial)
-     * materializations, zero-IR infeasibility verdicts, validated
-     * digest-prediction mismatches (fallbacks, never wrong answers), and
-     * schedule-tier hits on entries born in another band/function. */
-    size_t planComposed = 0;
-    size_t overlayMaterializations = 0;
-    size_t planInfeasible = 0;
-    size_t planMismatches = 0;
-    size_t crossBandHits = 0;
-    /** Audit-mode bookkeeping (zero unless DSEOptions::auditMode): how
-     * many auditor invocations ran and how many findings they raised. */
-    size_t auditChecks = 0;
-    size_t auditViolations = 0;
     /** True when the finalized module was the one retained during
      * exploration (no re-materialization). */
     bool moduleReused = false;

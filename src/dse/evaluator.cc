@@ -9,6 +9,17 @@
 
 namespace scalehls {
 
+namespace {
+
+/** Counters are statistics: relaxed increments are enough. */
+void
+bump(std::atomic<size_t> &counter, size_t by = 1)
+{
+    counter.fetch_add(by, std::memory_order_relaxed);
+}
+
+} // namespace
+
 bool
 dseAuditEnvDefault()
 {
@@ -17,14 +28,25 @@ dseAuditEnvDefault()
     return false;
 }
 
+DSEStats
+CachingEvaluator::stats() const
+{
+    DSEStats out;
+    DSEStats::forEachField(
+        [](const char *, size_t &value, const std::atomic<size_t> &counter) {
+            value = counter.load(std::memory_order_relaxed);
+        },
+        out, counters_);
+    return out;
+}
+
 bool
 CachingEvaluator::recordAuditFindings(
     const std::vector<VerifyError> &findings)
 {
     if (findings.empty())
         return false;
-    audit_violations_.fetch_add(findings.size(),
-                                std::memory_order_relaxed);
+    bump(counters_.auditViolations, findings.size());
     for (const VerifyError &e : findings)
         std::cerr << "dse-audit: " << e.str() << "\n";
     return true;
@@ -57,7 +79,7 @@ CachingEvaluator::evaluateScheduled(const DesignSpace::Partial &partial)
         // resolve it. Any finding drops the point to the full pipeline.
         std::vector<VerifyError> findings;
         for (size_t i = 0; i < entries.size(); ++i) {
-            audit_checks_.fetch_add(1, std::memory_order_relaxed);
+            bump(counters_.auditChecks);
             auto coherent = auditBandCoherence(
                 partial.bandRoots[i], partial.bandDigests[i]->digest,
                 &partial.ownership);
@@ -122,7 +144,7 @@ QoRResult
 CachingEvaluator::evaluateFresh(const DesignSpace::Point &point,
                                 std::unique_ptr<Operation> *module_out)
 {
-    materializations_.fetch_add(1, std::memory_order_relaxed);
+    bump(counters_.materializations);
 
     QoRResult result;
     auto finalize = [&](QoRResult qor) {
@@ -141,34 +163,31 @@ CachingEvaluator::evaluateFresh(const DesignSpace::Point &point,
     if (planner_) {
         BandPlanner::Outcome planned = planner_->evaluate(point);
         if (planned.auditChecks)
-            audit_checks_.fetch_add(planned.auditChecks,
-                                    std::memory_order_relaxed);
+            bump(counters_.auditChecks, planned.auditChecks);
         recordAuditFindings(planned.auditFindings);
         switch (planned.kind) {
           case BandPlanner::Outcome::Kind::Composed:
             if (planned.usedOverlay) {
-                overlay_materializations_.fetch_add(
-                    1, std::memory_order_relaxed);
+                bump(counters_.overlayMaterializations);
             } else {
                 // Zero IR built: count it as a fast-path hit too — it is
                 // the same validated band-incremental composition, minus
                 // even the phase-1 transforms.
-                fast_path_hits_.fetch_add(1, std::memory_order_relaxed);
-                plan_composed_.fetch_add(1, std::memory_order_relaxed);
+                bump(counters_.fastPathHits);
+                bump(counters_.planComposed);
             }
             return finalize(planned.qor);
           case BandPlanner::Outcome::Kind::Infeasible:
             // Exactly what the legacy path returns for a point whose
             // materialization fails — minus the clone and transforms.
-            plan_infeasible_.fetch_add(1, std::memory_order_relaxed);
+            bump(counters_.planInfeasible);
             result.latency = kInfeasibleQoR;
             result.interval = kInfeasibleQoR;
             result.feasible = false;
             return result;
           case BandPlanner::Outcome::Kind::Fallback:
             if (planned.mismatched)
-                plan_mismatches_.fetch_add(1,
-                                           std::memory_order_relaxed);
+                bump(counters_.planMismatches);
             break; // Run the validated legacy pipeline below.
         }
     }
@@ -181,13 +200,13 @@ CachingEvaluator::evaluateFresh(const DesignSpace::Point &point,
                 // Every band hit the schedule tier and validated: the
                 // composed QoR is bit-identical to what the skipped
                 // cleanup + partition + estimator walk would produce.
-                fast_path_hits_.fetch_add(1, std::memory_order_relaxed);
+                bump(counters_.fastPathHits);
                 return finalize(*composed);
             }
         }
     }
 
-    full_materializations_.fetch_add(1, std::memory_order_relaxed);
+    bump(counters_.fullMaterializations);
     auto module = estimates_ ? space_.finishMaterialize(partial)
                              : space_.materialize(point);
     if (!module) {
@@ -239,7 +258,7 @@ QoRResult
 CachingEvaluator::evaluate(const DesignSpace::Point &point)
 {
     if (auto cached = cache_.lookup(point)) {
-        cache_hits_.fetch_add(1, std::memory_order_relaxed);
+        bump(counters_.memoHits);
         return *cached;
     }
     std::unique_ptr<Operation> module;
@@ -266,7 +285,7 @@ CachingEvaluator::evaluateBatch(const std::vector<DesignSpace::Point> &points)
     std::vector<std::pair<size_t, size_t>> duplicates; // (slot, miss idx)
     for (size_t i = 0; i < points.size(); ++i) {
         if (auto cached = cache_.lookup(points[i])) {
-            cache_hits_.fetch_add(1, std::memory_order_relaxed);
+            bump(counters_.memoHits);
             results[i] = *cached;
             continue;
         }
@@ -276,7 +295,7 @@ CachingEvaluator::evaluateBatch(const std::vector<DesignSpace::Point> &points)
             misses.push_back(i);
         } else {
             duplicates.push_back({i, it->second});
-            batch_dedups_.fetch_add(1, std::memory_order_relaxed);
+            bump(counters_.batchDedups);
         }
     }
 

@@ -38,6 +38,79 @@
 
 namespace scalehls {
 
+/** The evaluation counters of a DSE, declared once. forEachField is the
+ * one list of them: every reporter (serve replies, the scalehls-opt
+ * summary, the smith oracle) walks it instead of naming fields. @p T is
+ * size_t for snapshots (DSEStats) and std::atomic<size_t> inside the
+ * evaluator, which increments them from its workers. */
+template <class T>
+struct BasicDSEStats
+{
+    /** Points the search evaluated (DSEEngine fills it). */
+    T evaluations{};
+    /** Evaluations served from the evaluator's memo cache. */
+    T memoHits{};
+    /** Memo misses: points actually decided by an evaluation path. */
+    T materializations{};
+    /** Duplicate in-batch slots served from their sibling's result. */
+    T batchDedups{};
+    /** Misses that ran the FULL pipeline (phase-2 cleanup + partition +
+     * estimator walk). */
+    T fullMaterializations{};
+    /** Misses served by the band-incremental fast path (every band hit
+     * the schedule tier and validated), INCLUDING planComposed. */
+    T fastPathHits{};
+    /** Fast-path hits decided entirely from the PLAN + SCHEDULE tiers:
+     * no clone, no transform, no IR of any kind. */
+    T planComposed{};
+    /** Misses built through a copy-on-write overlay (only the
+     * schedule-missing bands were built). */
+    T overlayMaterializations{};
+    /** Points the planner proved infeasible with zero IR (unroll cap,
+     * or a cached per-band transform failure). */
+    T planInfeasible{};
+    /** Overlay builds whose phase-1 digest contradicted the PLAN tier's
+     * prediction; they fell back to the full pipeline, so a nonzero
+     * count costs time, never correctness. */
+    T planMismatches{};
+    /** Audit-mode auditor invocations (0 unless auditing). */
+    T auditChecks{};
+    /** Audit findings. Each also forced its point onto the validated
+     * slow path, so a nonzero count flags a broken invariant without a
+     * wrong QoR having escaped. */
+    T auditViolations{};
+
+    /** Call fn(snake_name, s.field...) for every counter in declaration
+     * order, zipped across @p stats (any mix of BasicDSEStats types). */
+    template <class Fn, class... Stats>
+    static void
+    forEachField(Fn &&fn, Stats &&...stats)
+    {
+        fn("evaluations", stats.evaluations...);
+        fn("memo_hits", stats.memoHits...);
+        fn("materializations", stats.materializations...);
+        fn("batch_dedups", stats.batchDedups...);
+        fn("full_materializations", stats.fullMaterializations...);
+        fn("fast_path_hits", stats.fastPathHits...);
+        fn("plan_composed", stats.planComposed...);
+        fn("overlay_materializations", stats.overlayMaterializations...);
+        fn("plan_infeasible", stats.planInfeasible...);
+        fn("plan_mismatches", stats.planMismatches...);
+        fn("audit_checks", stats.auditChecks...);
+        fn("audit_violations", stats.auditViolations...);
+    }
+
+    BasicDSEStats &
+    operator+=(const BasicDSEStats &other)
+    {
+        forEachField([](const char *, T &sum, T add) { sum += add; },
+                     *this, other);
+        return *this;
+    }
+};
+
+using DSEStats = BasicDSEStats<size_t>;
+
 /** An evaluated design point. */
 struct EvaluatedPoint
 {
@@ -125,45 +198,9 @@ class CachingEvaluator : public Evaluator
     std::unique_ptr<Operation> takeRetainedModule(
         const DesignSpace::Point &point);
 
-    /** Number of uncached (memo-miss) evaluations. */
-    size_t numMaterializations() const { return materializations_.load(); }
-    /** Uncached evaluations that ran the FULL pipeline (phase-2 cleanup
-     * + partition + estimator walk). */
-    size_t numFullMaterializations() const
-    {
-        return full_materializations_.load();
-    }
-    /** Uncached evaluations served by the band-incremental fast path
-     * (every band hit the schedule tier and validated) — including the
-     * plan-composed ones, which additionally built zero IR. */
-    size_t numFastPathHits() const { return fast_path_hits_.load(); }
-    /** Fast-path hits decided entirely from the PLAN + SCHEDULE tiers:
-     * no clone, no transform, no IR of any kind. */
-    size_t numPlanComposed() const { return plan_composed_.load(); }
-    /** Uncached evaluations that materialized through a copy-on-write
-     * overlay (only the schedule-tier misses among the point's bands
-     * were built; the rest composed from cache). */
-    size_t numOverlayMaterializations() const
-    {
-        return overlay_materializations_.load();
-    }
-    /** Points the planner proved infeasible with zero IR (unroll cap, or
-     * a cached per-band transform failure). */
-    size_t numPlanInfeasible() const { return plan_infeasible_.load(); }
-    /** Overlay materializations whose actual phase-1 digest contradicted
-     * the PLAN tier's prediction; such points fell back to the full
-     * pipeline, so a nonzero count costs time, never correctness. */
-    size_t numPlanMismatches() const { return plan_mismatches_.load(); }
-    /** Number of evaluations served from the cache. */
-    size_t numCacheHits() const { return cache_hits_.load(); }
-    /** Duplicate in-batch slots served from their sibling's result. */
-    size_t numBatchDedups() const { return batch_dedups_.load(); }
-    /** Audit-mode auditor invocations (0 when auditing is off). */
-    size_t numAuditChecks() const { return audit_checks_.load(); }
-    /** Audit findings. Every finding also forced the affected point onto
-     * the validated slow path, so a nonzero count flags a broken
-     * invariant without ever having produced a wrong QoR. */
-    size_t numAuditViolations() const { return audit_violations_.load(); }
+    /** A snapshot of the counters (`evaluations` stays 0: it counts
+     * the points a search evaluated, which the engine owns). */
+    DSEStats stats() const;
 
   private:
     /** Uncached materialize + estimate of one point. @p module_out
@@ -197,17 +234,7 @@ class CachingEvaluator : public Evaluator
     std::unique_ptr<BandPlanner> planner_;
     ConcurrentCache<DesignSpace::Point, QoRResult, OrdinalVectorHash>
         cache_;
-    std::atomic<size_t> materializations_{0};
-    std::atomic<size_t> full_materializations_{0};
-    std::atomic<size_t> fast_path_hits_{0};
-    std::atomic<size_t> plan_composed_{0};
-    std::atomic<size_t> overlay_materializations_{0};
-    std::atomic<size_t> plan_infeasible_{0};
-    std::atomic<size_t> plan_mismatches_{0};
-    std::atomic<size_t> cache_hits_{0};
-    std::atomic<size_t> batch_dedups_{0};
-    std::atomic<size_t> audit_checks_{0};
-    std::atomic<size_t> audit_violations_{0};
+    BasicDSEStats<std::atomic<size_t>> counters_;
 
     bool retention_enabled_ = false;
     std::optional<ResourceBudget> retention_budget_;

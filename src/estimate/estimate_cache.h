@@ -256,34 +256,18 @@ class EstimateCache
     ///@}
 
     /** @name Statistics (delegated to the sharded tiers).
-     * The unqualified accessors report the function tier (source
-     * compatible with the single-tier cache); band* mirrors them for the
-     * band tier; the stats() snapshots carry both in one read. */
+     * One snapshot per tier; the band tier's also carries maskedHits. */
     ///@{
-    size_t hits() const { return cache_.hits(); }
-    size_t misses() const { return cache_.misses(); }
-    size_t lookups() const { return cache_.lookups(); }
-    double hitRate() const { return cache_.hitRate(); }
+    /** Function-tier entries. */
     size_t size() const { return cache_.size(); }
-    size_t bandHits() const { return bands_.hits(); }
-    size_t bandMisses() const { return bands_.misses(); }
-    size_t bandLookups() const { return bands_.lookups(); }
-    double bandHitRate() const { return bands_.hitRate(); }
-    size_t bandSize() const { return bands_.size(); }
-    size_t bandMaskedHits() const
-    {
-        return masked_band_hits_.load(std::memory_order_relaxed);
-    }
     CacheStats funcStats() const { return cache_.stats(); }
     CacheStats
     bandStats() const
     {
         CacheStats stats = bands_.stats();
-        stats.maskedHits = bandMaskedHits();
+        stats.maskedHits = masked_band_hits_.load(std::memory_order_relaxed);
         return stats;
     }
-    size_t scheduleHits() const { return schedules_.hits(); }
-    size_t scheduleLookups() const { return schedules_.lookups(); }
     CacheStats scheduleStats() const { return schedules_.stats(); }
     /** Schedule-tier hits whose entry was recorded under a different
      * origin than the consumer's — entry sharing across symmetric bands
@@ -292,8 +276,6 @@ class EstimateCache
     {
         return cross_band_hits_.load(std::memory_order_relaxed);
     }
-    size_t planHits() const { return plans_.hits(); }
-    size_t planLookups() const { return plans_.lookups(); }
     CacheStats planStats() const { return plans_.stats(); }
     ///@}
 

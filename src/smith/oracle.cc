@@ -158,58 +158,52 @@ runSmithOracle(const SmithSample &sample, const SmithOracleConfig &config)
                             qorStr(baseline[i]),
                         points[i]);
 
-        SmithDecisions pass;
-        pass.full = evaluator.numFullMaterializations();
-        pass.planComposed = evaluator.numPlanComposed();
-        pass.scheduleComposed =
-            evaluator.numFastPathHits() - pass.planComposed;
-        pass.overlay = evaluator.numOverlayMaterializations();
-        pass.planInfeasible = evaluator.numPlanInfeasible();
+        DSEStats pass = evaluator.stats();
         result.decisions += pass;
 
         // Counter invariants (exact, derived from the evaluator's memo
         // accounting): every memo miss is decided by exactly one
-        // decision class, and every batch slot is a miss, a memo hit,
-        // or an in-batch dedup.
-        size_t mat = evaluator.numMaterializations();
-        size_t classes = pass.full + pass.scheduleComposed +
-                         pass.planComposed + pass.overlay +
-                         pass.planInfeasible;
-        if (mat != classes)
+        // decision class (fastPathHits covers both composed classes),
+        // and every batch slot is a miss, a memo hit, or an in-batch
+        // dedup.
+        size_t classes = pass.fullMaterializations + pass.fastPathHits +
+                         pass.overlayMaterializations + pass.planInfeasible;
+        if (pass.materializations != classes)
             diverge("counters@" + label,
-                    "materializations (" + std::to_string(mat) +
+                    "materializations (" +
+                        std::to_string(pass.materializations) +
                         ") != full+schedule+plan+overlay+planInfeasible (" +
                         std::to_string(classes) + ")");
-        size_t accounted = mat + evaluator.numCacheHits() +
-                           evaluator.numBatchDedups();
+        size_t accounted =
+            pass.materializations + pass.memoHits + pass.batchDedups;
         if (accounted != points.size())
             diverge("counters@" + label,
                     "batch of " + std::to_string(points.size()) +
                         " accounted as " + std::to_string(accounted) +
                         " (mat+hits+dedups)");
-        if (blocked && (pass.planComposed != 0 || pass.overlay != 0))
+        if (blocked && (pass.planComposed != 0 ||
+                        pass.overlayMaterializations != 0))
             diverge("counters@" + label,
                     "planner answered through a blocked plan (" +
                         std::to_string(pass.planComposed) + " composed, " +
-                        std::to_string(pass.overlay) + " overlay)");
+                        std::to_string(pass.overlayMaterializations) +
+                        " overlay)");
 
         if (corrupted) {
-            result.corruptionCaught |= evaluator.numPlanMismatches() >= 1 ||
-                                       evaluator.numAuditViolations() >= 1;
-        } else if (evaluator.numAuditViolations() != 0) {
+            result.corruptionCaught |=
+                pass.planMismatches >= 1 || pass.auditViolations >= 1;
+        } else if (pass.auditViolations != 0) {
             diverge("audit@" + label,
-                    std::to_string(evaluator.numAuditViolations()) +
+                    std::to_string(pass.auditViolations) +
                         " audit finding(s) in " +
-                        std::to_string(evaluator.numAuditChecks()) +
-                        " checks");
+                        std::to_string(pass.auditChecks) + " checks");
         }
 
         // Memo coherence: re-probing an already-evaluated point must be
         // a cache hit and must return the identical QoR.
-        size_t hits_before = evaluator.numCacheHits();
         QoRResult again = evaluator.evaluate(points[0]);
         result.evaluations += 1;
-        if (evaluator.numCacheHits() <= hits_before)
+        if (evaluator.stats().memoHits <= pass.memoHits)
             diverge(label, "re-evaluation missed the memo cache",
                     points[0]);
         if (!qorEqual(again, baseline[0]))

@@ -26,7 +26,7 @@
 #include <string>
 #include <vector>
 
-#include "dse/design_space.h"
+#include "dse/evaluator.h"
 #include "smith/generator.h"
 
 namespace scalehls {
@@ -58,35 +58,16 @@ struct SmithDivergence
     DesignSpace::Point point; ///< Offending point (empty for counters).
 };
 
-/** How the production evaluator decided its memo misses: one count
- * per decision class. */
-struct SmithDecisions
-{
-    size_t full = 0;             ///< Full materialize + estimate.
-    size_t scheduleComposed = 0; ///< Phase-1 IR + SCHEDULE tier.
-    size_t planComposed = 0;     ///< PLAN + SCHEDULE tiers, zero IR.
-    size_t overlay = 0;          ///< Copy-on-write overlay.
-    size_t planInfeasible = 0;   ///< Proved infeasible with zero IR.
-
-    SmithDecisions &
-    operator+=(const SmithDecisions &other)
-    {
-        full += other.full;
-        scheduleComposed += other.scheduleComposed;
-        planComposed += other.planComposed;
-        overlay += other.overlay;
-        planInfeasible += other.planInfeasible;
-        return *this;
-    }
-};
-
 /** The oracle's verdict on one sample. */
 struct SmithOracleResult
 {
     size_t points = 0;        ///< Points probed.
     size_t evaluations = 0;   ///< Point evaluations across all runs.
-    /** Decision-class counts summed over every production pass. */
-    SmithDecisions decisions;
+    /** Evaluator counters summed over every production pass: how the
+     * memo misses were decided (full, schedule-composed =
+     * fastPathHits - planComposed, plan-composed, overlay,
+     * plan-infeasible). */
+    DSEStats decisions;
     std::vector<SmithDivergence> divergences;
     /** corruptPlan only: the poisoned entry was applicable (the sample
      * is plan-eligible) — self-tests must retry other seeds when

@@ -201,8 +201,8 @@ TEST(DesignSpace, MaterializeAndEvaluate)
     // Evaluation is memoized: the second call is a cache hit, not a
     // re-materialization, and returns the identical result.
     QoRResult again = evaluator.evaluate(zero);
-    EXPECT_EQ(evaluator.numMaterializations(), 1u);
-    EXPECT_EQ(evaluator.numCacheHits(), 1u);
+    EXPECT_EQ(evaluator.stats().materializations, 1u);
+    EXPECT_EQ(evaluator.stats().memoHits, 1u);
     EXPECT_EQ(again.latency, qor.latency);
 }
 
@@ -292,16 +292,20 @@ TEST(DSEEngine, MultiBandCachedDseMatchesUncachedReference)
         options.maxIterations = 30;
         options.numThreads = 2;
         options.crossPointCache = cached;
+        EstimateCache cache;
+        if (cached)
+            options.sharedEstimates = &cache;
         DSEEngine engine(space, options);
         auto frontier = engine.explore();
+        const DSEStats &stats = engine.stats();
         if (cached) {
-            EXPECT_GT(engine.numBandEstimateLookups(), 0u);
-            EXPECT_LT(engine.numFullMaterializations(),
-                      engine.numMaterializations());
+            EXPECT_GT(cache.bandStats().lookups(), 0u);
+            EXPECT_LT(stats.fullMaterializations, stats.materializations);
         } else {
-            EXPECT_EQ(engine.numBandEstimateLookups(), 0u);
-            EXPECT_EQ(engine.numFullMaterializations(),
-                      engine.numMaterializations());
+            EXPECT_EQ(stats.fullMaterializations, stats.materializations);
+            EXPECT_EQ(stats.planComposed, 0u);
+            EXPECT_EQ(stats.fastPathHits, 0u);
+            EXPECT_EQ(stats.overlayMaterializations, 0u);
         }
         return std::make_pair(frontier, engine.evaluated());
     };
@@ -326,6 +330,51 @@ TEST(DSEEngine, MultiBandCachedDseMatchesUncachedReference)
         EXPECT_EQ(evaluated_on[i].point, evaluated_off[i].point);
         EXPECT_EQ(evaluated_on[i].qor.latency,
                   evaluated_off[i].qor.latency);
+    }
+}
+
+TEST(DSEEngine, StatsAccountForEveryMissAndMatchRunDSE)
+{
+    // The one counter list on a cached 2mm DSE: every memo miss is
+    // decided by exactly one path, and runDSE reports the engine's
+    // stats() snapshot field by field. Which path decides a miss can
+    // depend on worker interleaving (a sibling may publish a schedule
+    // entry first), so at 2 threads only the trajectory counters are
+    // compared across the two runs.
+    auto module = parseCToModule(polybenchSource("2mm", 8));
+    raiseScfToAffine(module.get());
+    DesignSpaceOptions space_options;
+    space_options.maxTileSize = 4;
+    space_options.maxTotalUnroll = 16;
+    const std::set<std::string> trajectory = {
+        "evaluations", "memo_hits", "materializations", "batch_dedups"};
+
+    for (unsigned threads : {1u, 2u}) {
+        DSEOptions options;
+        options.numInitialSamples = 15;
+        options.maxIterations = 30;
+        options.numThreads = threads;
+        DesignSpace space(module.get(), space_options);
+        DSEEngine engine(space, options);
+        engine.explore();
+        const DSEStats &stats = engine.stats();
+        EXPECT_GT(stats.evaluations, 0u);
+        EXPECT_EQ(stats.materializations,
+                  stats.fullMaterializations + stats.fastPathHits +
+                      stats.overlayMaterializations + stats.planInfeasible)
+            << threads << " threads";
+
+        auto result =
+            runDSE(module.get(), xc7z020(), space_options, options);
+        ASSERT_TRUE(result);
+        DSEStats::forEachField(
+            [&](const char *name, size_t expected, size_t actual) {
+                if (threads == 1 || trajectory.count(name)) {
+                    EXPECT_EQ(actual, expected)
+                        << name << " at " << threads << " threads";
+                }
+            },
+            stats, *result);
     }
 }
 
@@ -440,14 +489,14 @@ TEST(Evaluator, BatchCacheHitsAreNotRematerialized)
         batch.push_back(space.randomPoint(rng));
 
     auto first = evaluator.evaluateBatch(batch);
-    size_t materialized = evaluator.numMaterializations();
+    size_t materialized = evaluator.stats().materializations;
     EXPECT_LE(materialized, batch.size());
     EXPECT_GE(materialized, 1u);
 
     // Re-evaluating the same batch must be pure cache traffic...
     auto second = evaluator.evaluateBatch(batch);
-    EXPECT_EQ(evaluator.numMaterializations(), materialized);
-    EXPECT_GE(evaluator.numCacheHits(), batch.size());
+    EXPECT_EQ(evaluator.stats().materializations, materialized);
+    EXPECT_GE(evaluator.stats().memoHits, batch.size());
     // ...and return identical results in input order.
     ASSERT_EQ(first.size(), second.size());
     for (size_t i = 0; i < first.size(); ++i) {
@@ -508,12 +557,19 @@ TEST(DSEEngine, EstimateCacheDoesNotChangeResults)
         options.maxIterations = 50;
         options.numThreads = 2;
         options.crossPointCache = cache;
+        EstimateCache estimates;
+        if (cache)
+            options.sharedEstimates = &estimates;
         DSEEngine engine(space, options);
         auto frontier = engine.explore();
+        const DSEStats &stats = engine.stats();
         if (cache) {
-            EXPECT_GT(engine.numEstimateLookups(), 0u);
+            EXPECT_GT(estimates.funcStats().lookups(), 0u);
         } else {
-            EXPECT_EQ(engine.numEstimateLookups(), 0u);
+            EXPECT_EQ(stats.fullMaterializations, stats.materializations);
+            EXPECT_EQ(stats.planComposed, 0u);
+            EXPECT_EQ(stats.fastPathHits, 0u);
+            EXPECT_EQ(stats.overlayMaterializations, 0u);
         }
         return std::make_pair(frontier, engine.evaluated());
     };
@@ -670,17 +726,15 @@ TEST(Evaluator, IncrementalFastPathMatchesSlowPath)
         // is served by exactly one of: the full pipeline, the (plan or
         // schedule-tier) fast path, an overlay materialization, or a
         // zero-IR infeasibility verdict.
-        EXPECT_GT(incremental.numFastPathHits(), 0u) << kernel;
-        EXPECT_LT(incremental.numFullMaterializations(), points.size())
-            << kernel;
-        EXPECT_EQ(incremental.numFullMaterializations() +
-                      incremental.numFastPathHits() +
-                      incremental.numOverlayMaterializations() +
-                      incremental.numPlanInfeasible(),
+        DSEStats stats = incremental.stats();
+        EXPECT_GT(stats.fastPathHits, 0u) << kernel;
+        EXPECT_LT(stats.fullMaterializations, points.size()) << kernel;
+        EXPECT_EQ(stats.fullMaterializations + stats.fastPathHits +
+                      stats.overlayMaterializations + stats.planInfeasible,
                   points.size())
             << kernel;
-        EXPECT_EQ(incremental.numPlanMismatches(), 0u) << kernel;
-        EXPECT_EQ(reference.numFullMaterializations(), points.size())
+        EXPECT_EQ(stats.planMismatches, 0u) << kernel;
+        EXPECT_EQ(reference.stats().fullMaterializations, points.size())
             << kernel;
     }
 }
@@ -701,8 +755,8 @@ TEST(Evaluator, BatchDedupMaterializesDuplicatesOnce)
 
     // Two unique points -> two materializations; the three duplicate
     // slots are served from their sibling's result.
-    EXPECT_EQ(evaluator.numMaterializations(), 2u);
-    EXPECT_EQ(evaluator.numBatchDedups(), 3u);
+    EXPECT_EQ(evaluator.stats().materializations, 2u);
+    EXPECT_EQ(evaluator.stats().batchDedups, 3u);
     ASSERT_EQ(results.size(), batch.size());
     EXPECT_EQ(results[0].latency, results[1].latency);
     EXPECT_EQ(results[0].latency, results[3].latency);
@@ -780,8 +834,8 @@ TEST(Evaluator, DataflowFastPathMatchesSlowPath)
         EXPECT_LT(ref.interval, ref.latency);
         expectIdenticalQoR(ref, fast, "dataflow");
     }
-    EXPECT_GT(incremental.numFastPathHits(), 0u);
-    EXPECT_LT(incremental.numFullMaterializations(), points.size());
+    EXPECT_GT(incremental.stats().fastPathHits, 0u);
+    EXPECT_LT(incremental.stats().fullMaterializations, points.size());
 }
 
 TEST(Evaluator, MultiConsumerDataflowFastPathMatchesSlowPath)
@@ -826,9 +880,9 @@ TEST(Evaluator, MultiConsumerDataflowFastPathMatchesSlowPath)
         EXPECT_LT(ref.interval, ref.latency);
         expectIdenticalQoR(ref, fast, "multi-consumer");
     }
-    EXPECT_GT(incremental.numFastPathHits(), 0u);
-    EXPECT_LT(incremental.numFullMaterializations(), points.size());
-    EXPECT_EQ(incremental.numPlanMismatches(), 0u);
+    EXPECT_GT(incremental.stats().fastPathHits, 0u);
+    EXPECT_LT(incremental.stats().fullMaterializations, points.size());
+    EXPECT_EQ(incremental.stats().planMismatches, 0u);
 }
 
 TEST(Evaluator, PlanFirstComposesWarmPointsWithZeroIR)
@@ -855,11 +909,11 @@ TEST(Evaluator, PlanFirstComposesWarmPointsWithZeroIR)
         expectIdenticalQoR(expected[i], fresh.evaluate(points[i]),
                            "plan-replay");
     EXPECT_EQ(Operation::createdCount(), created_before);
-    EXPECT_EQ(fresh.numFullMaterializations(), 0u);
-    EXPECT_EQ(fresh.numOverlayMaterializations(), 0u);
-    EXPECT_EQ(fresh.numPlanComposed() + fresh.numPlanInfeasible(),
-              points.size());
-    EXPECT_EQ(fresh.numPlanMismatches(), 0u);
+    DSEStats stats = fresh.stats();
+    EXPECT_EQ(stats.fullMaterializations, 0u);
+    EXPECT_EQ(stats.overlayMaterializations, 0u);
+    EXPECT_EQ(stats.planComposed + stats.planInfeasible, points.size());
+    EXPECT_EQ(stats.planMismatches, 0u);
 }
 
 TEST(Evaluator, CanonicalDigestSharesEntriesAcrossSymmetricBands)
@@ -880,7 +934,7 @@ TEST(Evaluator, CanonicalDigestSharesEntriesAcrossSymmetricBands)
         expectIdenticalQoR(reference.evaluate(p),
                            incremental.evaluate(p), "3mm-cross-band");
     EXPECT_GT(cache.crossBandHits(), 0u);
-    EXPECT_EQ(incremental.numPlanMismatches(), 0u);
+    EXPECT_EQ(incremental.stats().planMismatches, 0u);
 }
 
 TEST(Evaluator, AllocCarryingChainFastPathMatchesSlowPath)
@@ -916,8 +970,8 @@ TEST(Evaluator, AllocCarryingChainFastPathMatchesSlowPath)
     for (const auto &p : points)
         expectIdenticalQoR(reference.evaluate(p),
                            incremental.evaluate(p), "alloc-chain");
-    EXPECT_GT(incremental.numFastPathHits(), 0u);
-    EXPECT_LT(incremental.numFullMaterializations(), points.size());
+    EXPECT_GT(incremental.stats().fastPathHits, 0u);
+    EXPECT_LT(incremental.stats().fullMaterializations, points.size());
     // The local buffer's memory reached the composed account.
     QoRResult zero = incremental.evaluate(
         DesignSpace::Point(space.numDims(), 0));
@@ -951,7 +1005,7 @@ TEST(Evaluator, MixedFunctionStillPopulatesScheduleTier)
     for (const auto &p : points)
         expectIdenticalQoR(reference.evaluate(p), evaluator.evaluate(p),
                            "mixed");
-    EXPECT_EQ(evaluator.numFastPathHits(), 0u);
+    EXPECT_EQ(evaluator.stats().fastPathHits, 0u);
     EXPECT_GT(cache.scheduleStats().entries, 0u);
 }
 
@@ -974,8 +1028,8 @@ TEST(Evaluator, DNNKernelFastPathMatchesSlowPath)
     for (const auto &p : points)
         expectIdenticalQoR(reference.evaluate(p),
                            incremental.evaluate(p), "dnn-kernel");
-    EXPECT_GT(incremental.numFastPathHits(), 0u);
-    EXPECT_LT(incremental.numFullMaterializations(), points.size());
+    EXPECT_GT(incremental.stats().fastPathHits, 0u);
+    EXPECT_LT(incremental.stats().fullMaterializations, points.size());
 }
 
 TEST(DSEEngine, FinalizedModuleIsVerifiedAgainstCachedQoR)
@@ -1235,13 +1289,15 @@ TEST(ModelDSE, OptimizeModelComposesUnderBudget)
     space_options.maxTileSize = 4;
     space_options.maxTotalUnroll = 16;
 
-    auto run = [&](unsigned threads) {
+    auto run = [&](unsigned threads, bool audit = false) {
         Compiler compiler(buildLoweredDNN("mobilenet", 2));
         ExploreRequest request;
         request.budgetSpec = "vu9p-slr";
         request.space = space_options;
         request.dse = options;
         request.dse.numThreads = threads;
+        if (audit)
+            request.dse.auditMode = true;
         EXPECT_FALSE(request.validate());
         auto result = compiler.optimizeModel(request);
         // The composed module must re-verify after stitching.
@@ -1270,17 +1326,32 @@ TEST(ModelDSE, OptimizeModelComposesUnderBudget)
     if (result->uniform.feasible)
         EXPECT_LE(result->allocation.bottleneck,
                   result->uniform.bottleneck);
-    // Kernel stages carry their frontiers; totals add up.
-    size_t evaluations = 0;
+    // Kernel stages carry their frontiers; every counter of the model
+    // is the sum over its kernel stages (fixed stages carry zeros).
+    DSEStats sum;
     for (const auto &stage : result->stages) {
         if (stage.kernel) {
             EXPECT_FALSE(stage.frontier.empty());
             EXPECT_LT(stage.chosen, stage.frontier.size());
+        } else {
+            EXPECT_EQ(stage.evaluations, 0u);
         }
-        evaluations += stage.evaluations;
+        sum += stage;
     }
-    EXPECT_EQ(evaluations, result->evaluations);
+    DSEStats::forEachField(
+        [](const char *name, size_t total, size_t model) {
+            EXPECT_EQ(model, total) << name;
+        },
+        sum, *result);
     EXPECT_GT(result->evaluations, 0u);
+
+    // Audit mode reaches the whole-model path: the stages' auditor
+    // invocations add up in the model result, with no findings.
+    auto audited = run(2, true);
+    ASSERT_TRUE(audited.has_value());
+    EXPECT_GT(audited->auditChecks, 0u);
+    EXPECT_EQ(audited->auditViolations, 0u);
+    EXPECT_EQ(audited->measured.latency, result->measured.latency);
 
     // Bit-identical at any thread count.
     auto single = run(1);

@@ -391,12 +391,12 @@ TEST(Estimator, ParallelAndCachedEstimationBitIdentical)
     EstimateCache cache;
     QoRResult parallel =
         QoREstimator(module.get(), &pool, &cache).estimateFunc(top);
-    EXPECT_GT(cache.lookups(), 0u);
+    EXPECT_GT(cache.funcStats().lookups(), 0u);
 
     // A second estimator instance over the warm cache: served from it.
     QoRResult cached =
         QoREstimator(module.get(), &pool, &cache).estimateFunc(top);
-    EXPECT_GT(cache.hits(), 0u);
+    EXPECT_GT(cache.funcStats().hits, 0u);
 
     for (const QoRResult *other : {&parallel, &cached}) {
         EXPECT_EQ(other->latency, sequential.latency);
@@ -610,8 +610,8 @@ TEST(Estimator, BandCacheHitsAcrossMultiBandVariants)
         QoREstimator(m1.get(), nullptr, &cache).estimateModule();
     QoRResult q2 =
         QoREstimator(m2.get(), nullptr, &cache).estimateModule();
-    EXPECT_EQ(cache.hits(), 0u);    // Function tier: all misses.
-    EXPECT_EQ(cache.bandHits(), 1u); // Band 0 reused across variants.
+    EXPECT_EQ(cache.funcStats().hits, 0u); // Function tier: all misses.
+    EXPECT_EQ(cache.bandStats().hits, 1u); // Band 0 reused across variants.
 
     for (const auto &[cached, reference] :
          {std::make_pair(q1, ref1), std::make_pair(q2, ref2)}) {

@@ -13,7 +13,9 @@
 #include <string>
 #include <vector>
 
+#include "api/explore_request.h"
 #include "api/serve.h"
+#include "model/dnn_dse.h"
 #include "support/json.h"
 #include "support/thread_pool.h"
 
@@ -331,6 +333,43 @@ TEST(ServeTest, KernelRequestAnswersByIndexAndRejectsBadNames)
     EXPECT_FALSE(boolAt(missing, "ok"));
     EXPECT_NE(missing.get("error")->string.find("no kernel named"),
               std::string::npos);
+}
+
+TEST(ServeTest, KernelReplyCarriesEveryDSEStatsField)
+{
+    // The first request of a fresh session explores on a cold cache at
+    // one thread, so its reply must carry every DSEStats counter under
+    // its snake name with exactly the values of the same exploration
+    // run directly on a fresh cache.
+    std::string line =
+        "{\"id\":1,\"kind\":\"kernel\",\"model\":\"resnet18\","
+        "\"graph_level\":4,\"kernel\":0,\"samples\":6,"
+        "\"iterations\":4,\"batch\":2,\"seed\":3,\"threads\":1}";
+    ServeSession session(isolatedOptions());
+    JsonValue reply = parsed(session.handleLine(line));
+    ASSERT_TRUE(boolAt(reply, "ok"));
+    ASSERT_TRUE(boolAt(reply, "feasible"));
+
+    ExploreRequest request;
+    request.budgetSpec = "vu9p-slr";
+    request.model = "resnet18";
+    ASSERT_EQ(exploreRequestFromJson(request, parsed(line)), "");
+    EstimateCache cache;
+    request.dse.cacheLoadPath.clear();
+    request.dse.cacheSavePath.clear();
+    request.dse.sharedEstimates = &cache;
+    ASSERT_FALSE(request.validate());
+    auto kernels =
+        buildDNNKernelModules(request.model, request.graphLevel, 1);
+    ASSERT_FALSE(kernels.empty());
+    auto direct = runDSE(kernels[0].module.get(), request);
+    ASSERT_TRUE(direct);
+    DSEStats::forEachField(
+        [&](const char *name, size_t expected) {
+            EXPECT_EQ(intAt(reply, name), static_cast<int64_t>(expected))
+                << name;
+        },
+        *direct);
 }
 
 TEST(ServeTest, BadKernelIndexAndSizeAreRejectedWithoutSideEffects)

@@ -99,7 +99,7 @@ TEST(SmithOracle, EveryDecisionClassIsExercised)
     SmithGenConfig gen;
     SmithOracleConfig oracle;
     oracle.threads = 2;
-    SmithDecisions total;
+    DSEStats total;
     for (uint64_t i = 50; i < 60; ++i) {
         SmithSample sample = generateSmithSample(gen, 1000003ull + i);
         SmithOracleResult result = runSmithOracle(sample, oracle);
@@ -108,10 +108,10 @@ TEST(SmithOracle, EveryDecisionClassIsExercised)
                           << d.detail;
         total += result.decisions;
     }
-    EXPECT_GT(total.full, 0u);
-    EXPECT_GT(total.scheduleComposed, 0u);
+    EXPECT_GT(total.fullMaterializations, 0u);
+    EXPECT_GT(total.fastPathHits - total.planComposed, 0u); // Schedule.
     EXPECT_GT(total.planComposed, 0u);
-    EXPECT_GT(total.overlay, 0u);
+    EXPECT_GT(total.overlayMaterializations, 0u);
     EXPECT_GT(total.planInfeasible, 0u);
 }
 

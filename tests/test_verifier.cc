@@ -381,9 +381,9 @@ TEST(Verifier, AuditModeFlagsACorruptedPlanEntry)
     QoRResult fast = audited.evaluate(point);
     EXPECT_EQ(fast.latency, ref.latency);
     EXPECT_EQ(fast.interval, ref.interval);
-    EXPECT_GT(audited.numAuditChecks(), 0u);
-    EXPECT_GE(audited.numAuditViolations(), 1u);
-    EXPECT_EQ(audited.numFullMaterializations(), 1u);
+    EXPECT_GT(audited.stats().auditChecks, 0u);
+    EXPECT_GE(audited.stats().auditViolations, 1u);
+    EXPECT_EQ(audited.stats().fullMaterializations, 1u);
 }
 
 TEST(Verifier, AuditModeIsViolationFreeOnAHealthyRun)
@@ -413,8 +413,8 @@ TEST(Verifier, AuditModeIsViolationFreeOnAHealthyRun)
             EXPECT_EQ(got.interval, want.interval);
         }
 
-    EXPECT_GT(audited.numAuditChecks(), 0u);
-    EXPECT_EQ(audited.numAuditViolations(), 0u);
+    EXPECT_GT(audited.stats().auditChecks, 0u);
+    EXPECT_EQ(audited.stats().auditViolations, 0u);
 }
 
 TEST(Verifier, PassManagerVerifyEachRejectsACorruptingPass)

@@ -16,9 +16,8 @@
 # index records exit codes and wall-clock seconds, plus any machine
 # readable "JSON {...}" lines the bench itself emitted. The performance
 # records CI tracks are additionally distilled into
-# <output-dir>/BENCH_pr4.json (throughput, per-tier estimate-cache hit
-# rates, materializations per point) and <output-dir>/BENCH_pr5.json
-# (the DNN fast-path sweep) for artifact upload.
+# <output-dir>/BENCH_pr4.json ... BENCH_pr10.json (the table at the end
+# of this script) for artifact upload and --compare.
 #
 # --compare exits nonzero when any points-per-second record of new.json
 # regresses more than 15% below old.json, any pinned hit-rate field
@@ -192,93 +191,37 @@ collect() {
         grep "\"bench\":\"$2\"" | paste -sd, -
 }
 
-# Distill the PR 4 performance records (throughput, per-tier cache hit
-# rates, materializations per point) into one machine-readable file for
-# the CI artifact.
-pr4="$OUT_DIR/BENCH_pr4.json"
-dse_records=$(collect "$OUT_DIR/bench_parallel_dse.txt" "parallel_dse")
-est_records=$(collect "$OUT_DIR/bench_estimator.txt" "estimator")
-band_records=$(collect "$OUT_DIR/bench_estimator.txt" "estimator_band_cache")
-mat_records=$(collect "$OUT_DIR/bench_estimator.txt" "estimator_materialize")
-key_records=$(collect "$OUT_DIR/bench_estimator.txt" "estimator_band_keys")
-{
-    printf '{\n'
-    printf '  "parallel_dse": [%s],\n' "${dse_records}"
-    printf '  "estimator_scaling": [%s],\n' "${est_records}"
-    printf '  "band_cache": [%s],\n' "${band_records}"
-    printf '  "incremental_materialize": [%s],\n' "${mat_records}"
-    printf '  "partition_aware_keys": [%s]\n' "${key_records}"
-    printf '}\n'
-} > "$pr4"
-echo "wrote $pr4"
-
-# Distill the PR 5 DNN fast-path records (fast-path hit rate on DNN
-# points, materializations per point, points/sec) for the dnn-bench job.
-pr5="$OUT_DIR/BENCH_pr5.json"
-dnn_records=$(collect "$OUT_DIR/bench_estimator.txt" "estimator_dnn")
-{
-    printf '{\n'
-    printf '  "dnn_fast_path": [%s]\n' "${dnn_records}"
-    printf '}\n'
-} > "$pr5"
-echo "wrote $pr5"
-
-# Distill the PR 6 plan-first probe records (full/overlay
-# materializations per point, zero-clone composition, prediction
-# mismatches, cross-band schedule sharing) for the probe compare gate.
-pr6="$OUT_DIR/BENCH_pr6.json"
-probe_records=$(collect "$OUT_DIR/bench_estimator.txt" "estimator_probe")
-{
-    printf '{\n'
-    printf '  "probe": [%s]\n' "${probe_records}"
-    printf '}\n'
-} > "$pr6"
-echo "wrote $pr6"
-
-# Distill the PR 7 audit-mode records (L3/L4 audit checks + violations
-# and audit-on vs audit-off throughput on probe + DNN sweeps) for the
-# zero-findings compare gate.
-pr7="$OUT_DIR/BENCH_pr7.json"
-audit_records=$(collect "$OUT_DIR/bench_estimator.txt" "estimator_audit")
-{
-    printf '{\n'
-    printf '  "audit": [%s]\n' "${audit_records}"
-    printf '}\n'
-} > "$pr7"
-echo "wrote $pr7"
-
-# Distill the PR 8 whole-model DSE records (composed end-to-end latency,
-# bottleneck latency, DSP utilization, uniform-split comparison) for the
-# deterministic-QoR compare gate.
-pr8="$OUT_DIR/BENCH_pr8.json"
-full_records=$(collect "$OUT_DIR/bench_estimator.txt" "estimator_dnn_full")
-{
-    printf '{\n'
-    printf '  "dnn_full": [%s]\n' "${full_records}"
-    printf '}\n'
-} > "$pr8"
-echo "wrote $pr8"
-
-# Distill the PR 9 snapshot-persistence records (cross-process warm
-# start: warm speedup, zero warm materializations, load+replay
-# bit-identity) for the warm-start compare gate.
-pr9="$OUT_DIR/BENCH_pr9.json"
-persist_records=$(collect "$OUT_DIR/bench_estimator.txt" "estimator_persist")
-{
-    printf '{\n'
-    printf '  "persist": [%s]\n' "${persist_records}"
-    printf '}\n'
-} > "$pr9"
-echo "wrote $pr9"
-
-# Distill the PR 10 differential-fuzzing records (seeded smith corpus:
-# sample/point/evaluation counts, cross-path divergences, audit
-# violations, corpus throughput) for the zero-divergence compare gate.
-pr10="$OUT_DIR/BENCH_pr10.json"
-smith_records=$(collect "$OUT_DIR/scalehls-smith.txt" "smith_corpus")
-{
-    printf '{\n'
-    printf '  "smith_corpus": [%s]\n' "${smith_records}"
-    printf '}\n'
-} > "$pr10"
-echo "wrote $pr10"
+# Distill the performance records CI tracks into one BENCH_<pr>.json
+# per table row: each "section:log:filter" entry becomes a JSON array of
+# the records whose "bench" is <filter> in <output-dir>/<log>.txt.
+#  - pr4: throughput, per-tier cache hit rates, materializations/point;
+#  - pr5: the DNN fast-path sweep (hit rate, materializations/point);
+#  - pr6: plan-first probe (full/overlay per point, zero-clone compose,
+#    prediction mismatches, cross-band schedule sharing);
+#  - pr7: audit mode (L3/L4 checks + violations, audited throughput);
+#  - pr8: whole-model DSE (composed latency, bottleneck, DSP use);
+#  - pr9: snapshot persistence (warm speedup, zero warm work);
+#  - pr10: the smith corpus (counts, divergences, audit violations).
+while read -r pr sections; do
+    out="$OUT_DIR/BENCH_$pr.json"
+    sep=''
+    {
+        printf '{'
+        for entry in $sections; do
+            IFS=: read -r section log filter <<< "$entry"
+            printf '%s\n  "%s": [%s]' "$sep" "$section" \
+                "$(collect "$OUT_DIR/$log.txt" "$filter")"
+            sep=','
+        done
+        printf '\n}\n'
+    } > "$out"
+    echo "wrote $out"
+done <<'TABLE'
+pr4 parallel_dse:bench_parallel_dse:parallel_dse estimator_scaling:bench_estimator:estimator band_cache:bench_estimator:estimator_band_cache incremental_materialize:bench_estimator:estimator_materialize partition_aware_keys:bench_estimator:estimator_band_keys
+pr5 dnn_fast_path:bench_estimator:estimator_dnn
+pr6 probe:bench_estimator:estimator_probe
+pr7 audit:bench_estimator:estimator_audit
+pr8 dnn_full:bench_estimator:estimator_dnn_full
+pr9 persist:bench_estimator:estimator_persist
+pr10 smith_corpus:scalehls-smith:smith_corpus
+TABLE

@@ -264,29 +264,37 @@ main(int argc, char **argv)
             std::cerr << "\n";
         };
 
-        size_t audit_checks = 0;
-        size_t audit_violations = 0;
+        // Every DSE path's counters, printed field by field and summed
+        // into one total that -dse-audit gates on.
+        DSEStats total;
+        auto report_stats = [&](const DSEStats &stats) {
+            std::cerr << "DSE stats:";
+            DSEStats::forEachField(
+                [](const char *name, size_t value) {
+                    std::cerr << " " << name << "=" << value;
+                },
+                stats);
+            std::cerr << "\n";
+            total += stats;
+        };
         if (run_dse) {
             auto result = compiler.optimize(request);
             if (!result) {
                 std::cerr << "DSE found no feasible design\n";
                 return 1;
             }
-            std::cerr << "DSE materializations: "
-                      << result->fullMaterializations << " full, "
-                      << result->fastPathHits
-                      << " fast-path composed; finalized module "
+            std::cerr << "DSE finalized module "
                       << (result->moduleReused ? "reused"
                                                : "re-materialized")
                       << ", QoR "
                       << (result->qorVerified ? "verified" : "MISMATCH")
                       << "\n";
-            audit_checks += result->auditChecks;
-            audit_violations += result->auditViolations;
+            report_stats(*result);
             report_cache();
         }
         if (run_dse_funcs) {
             auto results = compiler.optimizeFunctions(request);
+            DSEStats funcs;
             bool any_feasible = false;
             for (const auto &r : results) {
                 std::cerr << "DSE " << r.func << ": ";
@@ -298,9 +306,9 @@ main(int argc, char **argv)
                 } else {
                     std::cerr << "no feasible design\n";
                 }
-                audit_checks += r.auditChecks;
-                audit_violations += r.auditViolations;
+                funcs += r;
             }
+            report_stats(funcs);
             report_cache();
             if (!any_feasible) {
                 std::cerr << "DSE found no feasible design for any "
@@ -356,14 +364,15 @@ main(int argc, char **argv)
                       << (result->verified ? "verified" : "INVALID")
                       << ", " << result->evaluations
                       << " evaluations)\n";
+            report_stats(*result);
             report_cache();
             if (!result->verified)
                 return 1;
         }
-        if (request.dse.auditMode && (run_dse || run_dse_funcs)) {
-            std::cerr << "dse-audit: " << audit_checks << " checks, "
-                      << audit_violations << " violations\n";
-            if (audit_violations != 0)
+        if (request.dse.auditMode && any_dse) {
+            std::cerr << "dse-audit: " << total.auditChecks << " checks, "
+                      << total.auditViolations << " violations\n";
+            if (total.auditViolations != 0)
                 return 1;
         }
         if (request.dse.sharedEstimates &&

@@ -299,7 +299,7 @@ main(int argc, char **argv)
     };
     size_t samples = 0, points = 0, evaluations = 0;
     size_t divergences = 0, audit_violations = 0;
-    SmithDecisions decisions;
+    DSEStats decisions;
     std::map<std::string, size_t> shapes;
     std::ofstream repro_out;
 
@@ -347,10 +347,12 @@ main(int argc, char **argv)
               << evaluations << " evaluations in " << seconds
               << "s; " << divergences << " divergence(s), "
               << audit_violations << " audit violation(s)\n";
-    std::cout << "decisions: full=" << decisions.full
-              << " schedule-composed=" << decisions.scheduleComposed
+    size_t schedule_composed =
+        decisions.fastPathHits - decisions.planComposed;
+    std::cout << "decisions: full=" << decisions.fullMaterializations
+              << " schedule-composed=" << schedule_composed
               << " plan-composed=" << decisions.planComposed
-              << " overlay=" << decisions.overlay
+              << " overlay=" << decisions.overlayMaterializations
               << " plan-infeasible=" << decisions.planInfeasible << "\n";
     std::cout << "shape mix:";
     for (const auto &entry : shapes)
@@ -362,10 +364,10 @@ main(int argc, char **argv)
           << ",\"evaluations\":" << evaluations
           << ",\"divergences\":" << divergences
           << ",\"audit_violations\":" << audit_violations
-          << ",\"full\":" << decisions.full
-          << ",\"schedule_composed\":" << decisions.scheduleComposed
+          << ",\"full\":" << decisions.fullMaterializations
+          << ",\"schedule_composed\":" << schedule_composed
           << ",\"plan_composed\":" << decisions.planComposed
-          << ",\"overlay\":" << decisions.overlay
+          << ",\"overlay\":" << decisions.overlayMaterializations
           << ",\"plan_infeasible\":" << decisions.planInfeasible
           << ",\"seconds\":" << seconds << ",\"evals_per_sec\":"
           << (seconds > 0 ? static_cast<double>(evaluations) / seconds
