@@ -533,8 +533,8 @@ runProbeSection(const std::vector<unsigned> &configs, bool smoke)
 /** Audit-mode overhead and coverage: the probe sweep (2mm) and a DNN
  * kernel sweep run twice on fresh caches — auditing off, then on — and
  * a warm replay through a fresh evaluator drives the audited fast paths
- * (plan compose / overlay / schedule compose). Hard checks per design
- * and thread count: the auditors actually engage (checks > 0), they find
+ * (plan compose / overlay). Hard checks per design and thread count:
+ * the auditors actually engage (checks > 0), they find
  * NOTHING on a healthy run (violations == 0), both configurations stay
  * bit-identical to the sequential uncached reference, and audited
  * throughput keeps at least half the unaudited rate (the documented
@@ -662,9 +662,9 @@ runAuditSection(const std::vector<unsigned> &configs, bool smoke)
                               configs);
     }
 
-    // One DNN kernel: the alloc-carrying dataflow-stage workload whose
-    // fast path goes through evaluateScheduled (the L4 band-coherence
-    // and entry-shape audits) rather than the planner.
+    // One DNN kernel: the alloc-carrying dataflow-stage workload, whose
+    // misses the planner decides like the 2mm probe's (overlay, plan
+    // mismatch and entry-shape audits) over local buffers.
     {
         auto kernels = buildDNNKernelModules("resnet18", 4, 1);
         if (kernels.empty()) {

@@ -244,14 +244,7 @@ Compiler::applyDirectiveOpt(int64_t target_ii)
 Compiler &
 Compiler::applySimplifications()
 {
-    timed([&] {
-        applyCanonicalize(module_.get());
-        applySimplifyAffineIf(module_.get());
-        applyAffineStoreForward(module_.get());
-        applySimplifyMemrefAccess(module_.get());
-        applyCSE(module_.get());
-        applyCanonicalize(module_.get());
-    });
+    timed([&] { applyCleanupPipeline(module_.get()); });
     return *this;
 }
 
@@ -299,7 +292,7 @@ Compiler::optimizeFunctions(const ExploreRequest &request)
     // the callee subtrees of the targets), so their content-keyed
     // estimates transfer across kernels and workers alike.
     EstimateCache shared_estimates;
-    inner_options.applyCacheBounds(shared_estimates);
+    shared_estimates.setTierMaxEntries(inner_options.estimateCacheTierCaps);
     // Snapshot persistence follows cache ownership: when this call
     // creates the shared cache it loads/saves the snapshot ONCE here
     // (the per-kernel engines see sharedEstimates set and skip); when
@@ -393,7 +386,7 @@ Compiler::optimizeModel(const ExploreRequest &request)
     // estimateModule resolves mostly from content-keyed entries the
     // exploration already paid for.
     EstimateCache shared_estimates;
-    options.applyCacheBounds(shared_estimates);
+    shared_estimates.setTierMaxEntries(options.estimateCacheTierCaps);
     DSEOptions inner = options;
     // Same ownership rule as optimizeFunctions: load/save the snapshot
     // only for the cache this call created.

@@ -143,10 +143,7 @@ exploreRequestFrom(const JsonValue &req, EstimateCache *cache,
 ServeSession::ServeSession(const ServeOptions &options)
     : options_(options)
 {
-    if (options_.tierCaps.any())
-        cache_.setTierMaxEntries(options_.tierCaps);
-    else if (options_.cacheCap != 0)
-        cache_.setMaxEntries(options_.cacheCap);
+    cache_.setTierMaxEntries(options_.tierCaps);
     if (!options_.cacheLoadPath.empty())
         load_result_ =
             loadEstimateCacheLogged(cache_, options_.cacheLoadPath);
@@ -159,12 +156,18 @@ ServeSession::~ServeSession()
 }
 
 bool
-ServeSession::saveSnapshot(const std::string &path)
+ServeSession::saveSnapshot(const std::string &path, std::string *error)
 {
     std::string target = path.empty() ? options_.cacheSavePath : path;
-    if (target.empty())
+    if (target.empty()) {
+        if (error)
+            *error = "no snapshot path: the request names none and the "
+                     "session has no save path";
         return false;
+    }
     std::lock_guard<std::mutex> lock(save_mutex_);
+    if (error)
+        return saveEstimateCache(cache_, target, error);
     return saveEstimateCacheLogged(cache_, target);
 }
 
@@ -206,10 +209,13 @@ ServeSession::handleLine(const std::string &line)
                 num(static_cast<int64_t>(load_result_.totalEntries())) +
                 ",\"cache\":" + cacheJson(cache_) + "}";
         } else if (kind == "save") {
-            bool saved = saveSnapshot(strField(req, "path", ""));
+            std::string error;
+            bool saved = saveSnapshot(strField(req, "path", ""), &error);
             response = "{\"id\":" + id + ",\"ok\":" +
-                       (saved ? "true" : "false") +
-                       ",\"kind\":\"save\"}";
+                       (saved ? "true" : "false") + ",\"kind\":\"save\"" +
+                       (saved ? "" : ",\"error\":\"" + jsonEscape(error) +
+                                         "\"") +
+                       "}";
         } else if (kind == "quit") {
             quit_.store(true, std::memory_order_release);
             response =

@@ -52,8 +52,7 @@ struct ServeOptions
      * $SCALEHLS_CACHE_DIR hook; "" disables. */
     std::string cacheLoadPath = defaultCacheSnapshotPath();
     std::string cacheSavePath = defaultCacheSnapshotPath();
-    /** Cache bounds (see DSEOptions): per-tier caps win when any set. */
-    size_t cacheCap = 0;
+    /** Per-tier cache bounds (see DSEOptions::estimateCacheTierCaps). */
     EstimateCacheTierCaps tierCaps;
     /** Additionally save the snapshot every N completed requests
      * (0 = only at shutdown) — bounds snapshot loss on a crash. */
@@ -90,8 +89,10 @@ class ServeSession
     }
 
     /** Save the snapshot now (to @p path, or the configured save path
-     * when empty). False when no path is configured or IO failed. */
-    bool saveSnapshot(const std::string &path = std::string());
+     * when empty). False when no path is configured or IO failed; the
+     * reason goes to @p error when given, else to stderr. */
+    bool saveSnapshot(const std::string &path = std::string(),
+                      std::string *error = nullptr);
 
     EstimateCache &cache() { return cache_; }
     /** The load outcome of the construction-time snapshot load. */

@@ -23,30 +23,21 @@ BandPlanner::BandPlanner(const DesignSpace &space,
         return;
     func_name_ = funcName(func_);
 
-    // Mirror DesignSpace::fastPathEligible on the PRISTINE function: the
-    // structural transforms never add calls, flat-scope accesses or
-    // directives, so pristine eligibility implies phase-1 eligibility
-    // for every materializable point.
-    FuncDirective fd = getFuncDirective(func_);
-    if (fd.pipeline)
-        return;
-    dataflow_top_ = fd.dataflow;
-    for (auto &op : funcBody(func_)->ops()) {
-        if (op->is(ops::AffineFor) || op->is(ops::Constant) ||
-            op->is(ops::Alloc) || op->is(ops::Return))
-            continue;
-        return;
-    }
-
     auto bands = getLoopBands(func_);
     if (bands.empty() || bands.size() != space_.numBands())
         return;
     for (const auto &band : bands)
         roots_.push_back(band.front());
 
-    ownership_ = bandLocalAllocs(func_, roots_);
-    if (!ownership_.eligible(dataflow_top_))
+    // The materializer's band-locality rule on the PRISTINE function:
+    // the structural transforms never add calls, flat-scope accesses or
+    // directives, so pristine eligibility implies phase-1 eligibility
+    // for every materializable point.
+    auto ownership = DesignSpace::bandLocalOwnership(func_, roots_);
+    if (!ownership)
         return;
+    ownership_ = std::move(*ownership);
+    dataflow_top_ = getFuncDirective(func_).dataflow;
     // In-band allocs are duplicated by pipelining's full unroll, which
     // would grow the transformed ownership list past the pristine one
     // the plan keys bake in. Flat-scope allocs are never duplicated.
@@ -160,16 +151,10 @@ BandPlanner::evaluate(const DesignSpace::Point &point) const
     DesignSpace::Decoded d = space_.decode(point);
     if (d.bands.size() != seeds_.size())
         return out;
-    // Mirror beginMaterialize's early unroll-product rejection: such
-    // points are infeasible before any IR exists on the legacy path too.
-    for (const DesignSpace::BandChoice &choice : d.bands) {
-        int64_t product = 1;
-        for (int64_t t : choice.tileSizes)
-            product *= t;
-        if (product > space_.spaceOptions().maxTotalUnroll) {
-            out.kind = Outcome::Kind::Infeasible;
-            return out;
-        }
+    if (space_.exceedsUnrollCap(d)) {
+        // Infeasible before any IR exists, as in beginMaterialize.
+        out.kind = Outcome::Kind::Infeasible;
+        return out;
     }
 
     size_t n = seeds_.size();
@@ -192,7 +177,7 @@ BandPlanner::evaluate(const DesignSpace::Point &point) const
             return out;
         }
         if (!inputs.plans[b]->composable)
-            return out; // This band can never compose: legacy path.
+            return out; // This band can never compose: full pipeline.
     }
 
     bool all_hit = true;
@@ -271,8 +256,8 @@ BandPlanner::overlayEvaluate(const DesignSpace::Decoded &d,
     for (const auto &[base, overlay] : ov.map)
         reverse[overlay] = base;
 
-    // Phase 1 on each missed band: replay beginMaterialize's per-band
-    // transform sequence verbatim, then verify (or record) the plan.
+    // Phase 1 on each missed band: beginMaterialize's per-band
+    // transforms, then verify (or record) the plan.
     std::vector<Operation *> current(n, nullptr);
     std::vector<std::optional<BandDigestInfo>> infos(n);
     std::vector<BandPlanOutcome> outcomes(n);
@@ -284,21 +269,8 @@ BandPlanner::overlayEvaluate(const DesignSpace::Decoded &d,
         auto ci = ov.children.find(roots_[b]);
         if (ci == ov.children.end())
             return out;
-        std::vector<Operation *> band{ci->second};
-        if (d.loopPerfectization)
-            applyLoopPerfectization(band.front());
-        if (d.removeVariableBound)
-            applyRemoveVariableBound(band.front());
-        if (d.loopPerfectization && d.removeVariableBound)
-            applyLoopPerfectization(band.front());
-        band = getLoopNest(band.front());
-        const DesignSpace::BandChoice &choice = d.bands[b];
-        if (band.size() == choice.permMap.size())
-            applyLoopPermutation(band, choice.permMap);
-        if (band.size() == choice.tileSizes.size())
-            band = applyLoopTiling(band, choice.tileSizes);
-        if (band.empty() ||
-            !applyLoopPipelining(band.back(), choice.targetII)) {
+        current[b] = DesignSpace::scheduleBand(ci->second, d, b);
+        if (!current[b]) {
             // The transforms fail for every point selecting this choice;
             // record that so future points skip the overlay entirely.
             estimates_->insertPlan(inputs.keys[b], BandPlanOutcome{});
@@ -306,7 +278,6 @@ BandPlanner::overlayEvaluate(const DesignSpace::Decoded &d,
             out.usedOverlay = true;
             return out;
         }
-        current[b] = band.front();
 
         infos[b] = bandEstimateDigestInfo(
             current[b], /*mask_partitions=*/false, &overlay_own);
@@ -383,7 +354,9 @@ BandPlanner::overlayEvaluate(const DesignSpace::Decoded &d,
     // core invariant), so replaying it per missed band — with the one
     // cross-band pass, removeWriteOnlyBuffers, reduced to erasing the
     // predicted-dead buffers' stores — produces the bands the full
-    // pipeline would.
+    // pipeline would. It is spelled out rather than calling
+    // applyCleanupPipeline because that erasure must run between
+    // store-forwarding and memref simplification.
     for (size_t b = 0; b < n; ++b) {
         if (!current[b])
             continue;

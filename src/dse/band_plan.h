@@ -8,7 +8,7 @@
  * overlay (ir/overlay.h) that shares every hit band with the pristine
  * base. Predictions are validated whenever an overlay materializes a
  * band (predicted digest != actual digest falls the point back to the
- * legacy full pipeline and bumps a stat counter), so the planner can
+ * full pipeline and bumps a stat counter), so the planner can
  * change wall-clock but never results.
  */
 
@@ -34,13 +34,15 @@ namespace scalehls {
  * the cache's PLAN and SCHEDULE tiers.
  *
  * Eligibility is decided once, at construction, on the PRISTINE
- * function; it mirrors DesignSpace::fastPathEligible (no pipelined top,
- * flat body of bands + constants + allocs + return, every alloc owned)
- * and additionally requires every alloc to live at flat scope —
- * pipelining's full unroll would duplicate in-band allocs and diverge
- * the ownership list the plan keys bake in — and every band to be
- * plan-seedable. An ineligible kernel simply disables the planner; the
- * legacy paths are untouched. */
+ * function: DesignSpace::bandLocalOwnership (no pipelined top, flat body
+ * of bands + constants + allocs + return, every alloc owned), plus two
+ * conditions of its own: every alloc lives at flat scope — pipelining's
+ * full unroll would duplicate in-band allocs and diverge the ownership
+ * list the plan keys bake in — and every band is plan-seedable. An
+ * ineligible kernel simply disables the planner; its misses run the
+ * full pipeline. The planner takes the unroll cap and the per-band
+ * phase-1 transforms from DesignSpace too, so it decides every point
+ * exactly as a materialization would. */
 class BandPlanner
 {
   public:
@@ -55,8 +57,8 @@ class BandPlanner
             /** The point is not materializable (unroll cap, pipelining
              * failure) — return the infeasible sentinel. */
             Infeasible,
-            /** The planner cannot decide this point; run the legacy
-             * path. */
+            /** The planner cannot decide this point; run the full
+             * pipeline. */
             Fallback,
         };
         Kind kind = Kind::Fallback;

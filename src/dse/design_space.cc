@@ -147,20 +147,87 @@ DesignSpace::decode(const Point &point) const
     return d;
 }
 
+bool
+DesignSpace::exceedsUnrollCap(const Decoded &decoded) const
+{
+    for (const BandChoice &choice : decoded.bands) {
+        int64_t product = 1;
+        for (int64_t t : choice.tileSizes)
+            product *= t;
+        if (product > options_.maxTotalUnroll)
+            return true;
+    }
+    return false;
+}
+
+Operation *
+DesignSpace::scheduleBand(Operation *root, const Decoded &decoded,
+                          size_t band)
+{
+    if (decoded.loopPerfectization)
+        applyLoopPerfectization(root);
+    if (decoded.removeVariableBound)
+        applyRemoveVariableBound(root);
+    if (decoded.loopPerfectization && decoded.removeVariableBound) {
+        // Ops below a variable-bound loop only sink once RVB has made
+        // the bounds constant (e.g. TRMM's final scaling).
+        applyLoopPerfectization(root);
+    }
+    const BandChoice &choice = decoded.bands[band];
+    std::vector<Operation *> nest = getLoopNest(root);
+    if (nest.size() == choice.permMap.size())
+        applyLoopPermutation(nest, choice.permMap);
+    if (nest.size() == choice.tileSizes.size())
+        nest = applyLoopTiling(nest, choice.tileSizes);
+    if (nest.empty() || !applyLoopPipelining(nest.back(), choice.targetII))
+        return nullptr;
+    return nest.front();
+}
+
+std::optional<AllocOwnershipInfo>
+DesignSpace::bandLocalOwnership(Operation *func,
+                                const std::vector<Operation *> &band_roots)
+{
+    // Schedule entries replay estimateFuncImpl's function-level
+    // composition (sequential dependence scheduling, or the dataflow
+    // stage overlap) and the memory account of OWNED local buffers, and
+    // their soundness argument needs every cleanup pass to be
+    // band-local. That holds exactly when: the top function carries no
+    // pipeline directive (a dataflow top is allowed — its composition
+    // is replayed); the function body is bands + constants + allocs +
+    // return only (no flat-scope accesses, calls or control flow —
+    // constants are latency-free and excluded from the compute account,
+    // so flat-scope cleanup cannot move the QoR); and every alloc is
+    // OWNED (bandLocalAllocs): its users are plain loads/stores confined
+    // to bands, so the one cross-band cleanup — removeWriteOnlyBuffers —
+    // reduces to the per-buffer kept/dead verdict the ownership notes
+    // fold into each phase-1 band digest, and the function-level memory
+    // accounting can be replayed from the kept survivors. Calls anywhere
+    // would add callee latency/resource instances the composition does
+    // not model; flat-scope calls fail the body whitelist and in-band
+    // calls make their band undigestable (per-band mask).
+    FuncDirective fd = getFuncDirective(func);
+    if (fd.pipeline)
+        return std::nullopt;
+    for (auto &op : funcBody(func)->ops()) {
+        if (op->is(ops::AffineFor) || op->is(ops::Constant) ||
+            op->is(ops::Alloc) || op->is(ops::Return))
+            continue;
+        return std::nullopt;
+    }
+    AllocOwnershipInfo ownership = bandLocalAllocs(func, band_roots);
+    if (!ownership.eligible(fd.dataflow))
+        return std::nullopt;
+    return ownership;
+}
+
 DesignSpace::Partial
 DesignSpace::beginMaterialize(const Point &point) const
 {
     Partial partial;
     Decoded d = decode(point);
-
-    // Reject per-band unroll products beyond the configured cap early.
-    for (const BandChoice &choice : d.bands) {
-        int64_t product = 1;
-        for (int64_t t : choice.tileSizes)
-            product *= t;
-        if (product > options_.maxTotalUnroll)
-            return partial;
-    }
+    if (exceedsUnrollCap(d))
+        return partial;
 
     auto module = pristine_->clone();
     Operation *func = getTopFunc(module.get());
@@ -168,91 +235,34 @@ DesignSpace::beginMaterialize(const Point &point) const
     if (band_roots.size() != d.bands.size())
         return partial;
 
+    std::vector<Operation *> roots;
     for (size_t b = 0; b < band_roots.size(); ++b) {
-        const BandChoice &choice = d.bands[b];
-        std::vector<Operation *> band = band_roots[b];
-        if (d.loopPerfectization)
-            applyLoopPerfectization(band.front());
-        if (d.removeVariableBound)
-            applyRemoveVariableBound(band.front());
-        if (d.loopPerfectization && d.removeVariableBound) {
-            // Ops below a variable-bound loop only sink once RVB has
-            // made the bounds constant (e.g. TRMM's final scaling).
-            applyLoopPerfectization(band.front());
-        }
-        band = getLoopNest(band.front());
-        if (band.size() == choice.permMap.size())
-            applyLoopPermutation(band, choice.permMap);
-        if (band.size() == choice.tileSizes.size())
-            band = applyLoopTiling(band, choice.tileSizes);
-        if (band.empty())
+        roots.push_back(scheduleBand(band_roots[b].front(), d, b));
+        if (!roots.back())
             return partial;
-        if (!applyLoopPipelining(band.back(), choice.targetII))
-            return partial;
-        partial.bandRoots.push_back(band.front());
     }
 
     partial.module = std::move(module);
     partial.func = func;
-    partial.dataflowTop = getFuncDirective(func).dataflow;
-    partial.funcEligible = fastPathEligible(partial);
-    if (partial.funcEligible) {
-        partial.eligible = true;
-        for (Operation *root : partial.bandRoots) {
-            // Partition-sensitive keys: phase-1 layouts are the pristine
-            // module's (trivial on DSE inputs), so masking could not
-            // hide anything — but it would pay a per-point relevance
-            // analysis. Sensitive keys are strictly more discriminating,
-            // which only ever costs hits, never soundness. Ownership
-            // notes make the key distinguish bands whose local buffers
-            // survive cleanup from bands whose buffers are erased.
-            auto digest = bandEstimateDigestInfo(
-                root, /*mask_partitions=*/false, &partial.ownership);
-            // A nullopt digest (call-containing band, unrecognized
-            // external) masks only THIS band out of the schedule tier;
-            // its siblings still populate it. The whole-point fast path
-            // needs every band digested.
-            partial.eligible &= digest.has_value();
-            partial.bandDigests.push_back(std::move(digest));
-        }
+    auto ownership = bandLocalOwnership(func, roots);
+    partial.funcEligible = ownership.has_value();
+    if (!partial.funcEligible)
+        return partial;
+    partial.ownership = std::move(*ownership);
+    for (Operation *root : roots) {
+        // Partition-sensitive keys: phase-1 layouts are the pristine
+        // module's (trivial on DSE inputs), so masking could not hide
+        // anything — but it would pay a per-point relevance analysis.
+        // Sensitive keys are strictly more discriminating, which only
+        // ever costs hits, never soundness. Ownership notes make the key
+        // distinguish bands whose local buffers survive cleanup from
+        // bands whose buffers are erased. A nullopt digest
+        // (call-containing band, unrecognized external) masks only THIS
+        // band out of the schedule tier; its siblings still populate it.
+        partial.bandDigests.push_back(bandEstimateDigestInfo(
+            root, /*mask_partitions=*/false, &partial.ownership));
     }
     return partial;
-}
-
-bool
-DesignSpace::fastPathEligible(Partial &partial) const
-{
-    // The fast path replays estimateFuncImpl's function-level
-    // composition (sequential dependence scheduling, or the dataflow
-    // stage overlap) and the memory account of OWNED local buffers, and
-    // its soundness argument needs every cleanup pass to be band-local.
-    // That holds exactly when: the top function carries no pipeline
-    // directive (a dataflow top is allowed — its composition is
-    // replayed); the function body is bands + constants + allocs +
-    // return only (no flat-scope accesses, calls or control flow —
-    // constants are latency-free and excluded from the compute account,
-    // so flat-scope cleanup cannot move the QoR); and every alloc is
-    // OWNED (bandLocalAllocs): its
-    // users are plain loads/stores confined to bands, so the one
-    // cross-band cleanup — removeWriteOnlyBuffers — reduces to the
-    // per-buffer kept/dead verdict the ownership notes fold into each
-    // phase-1 band digest, and the function-level memory accounting can
-    // be replayed from the kept survivors. Calls anywhere would add
-    // callee latency/resource instances the composition does not model;
-    // flat-scope calls fail the body whitelist and in-band calls make
-    // their band undigestable (per-band mask).
-    FuncDirective fd = getFuncDirective(partial.func);
-    if (fd.pipeline)
-        return false;
-    for (auto &op : funcBody(partial.func)->ops()) {
-        if (op->is(ops::AffineFor) || op->is(ops::Constant) ||
-            op->is(ops::Alloc) || op->is(ops::Return))
-            continue;
-        return false;
-    }
-    partial.ownership =
-        bandLocalAllocs(partial.func, partial.bandRoots);
-    return partial.ownership.eligible(partial.dataflowTop);
 }
 
 bool
@@ -283,14 +293,8 @@ DesignSpace::finishMaterialize(Partial &partial) const
 {
     if (!partial.module)
         return nullptr;
-    Operation *func = partial.func;
-    applyCanonicalize(func);
-    applySimplifyAffineIf(func);
-    applyAffineStoreForward(func);
-    applySimplifyMemrefAccess(func);
-    applyCSE(func);
-    applyCanonicalize(func);
-    applyArrayPartition(func);
+    applyCleanupPipeline(partial.func);
+    applyArrayPartition(partial.func);
     return std::move(partial.module);
 }
 

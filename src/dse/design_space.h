@@ -132,39 +132,26 @@ class DesignSpace
     std::unique_ptr<Operation> materialize(const Point &point) const;
 
     /** Phase 1 of a materialization: the per-band structural transforms
-     * (LP/RVB, permutation, tiling, pipelining) plus the fast-path
-     * bookkeeping — each band's phase-1 digest and eligibility for the
-     * band-incremental evaluation (composeScheduledQoR). Phase 2
+     * (LP/RVB, permutation, tiling, pipelining) plus the bookkeeping the
+     * schedule cache tier needs — each band's phase-1 digest. Phase 2
      * (finishMaterialize) runs the function-wide cleanup pipeline and
-     * array partition; the split lets a caller whose bands all hit the
-     * schedule cache tier skip phase 2 — and the estimator walk —
-     * entirely. */
+     * array partition; after it, the evaluator publishes one schedule
+     * entry per digested band for the planner to compose from. */
     struct Partial
     {
         /** Phase-1 module; nullptr when the point is not
          * materializable. */
         std::unique_ptr<Operation> module;
         Operation *func = nullptr;
-        /** Top-level band roots of func, body order. */
-        std::vector<Operation *> bandRoots;
-        /** Function-level fast-path preconditions hold: a sequential or
-         * dataflow (not pipelined) top whose body is bands, constants,
-         * allocs and the return only, with every local buffer owned
-         * (bandLocalAllocs) — exactly the conditions under which the
-         * cleanup pipeline is band-local, so per-band schedule entries
-         * keyed by phase-1 digests are publishable even when some bands
-         * are individually ineligible. */
+        /** The function passes the band-locality rule (see
+         * bandLocalOwnership), so per-band schedule entries keyed by
+         * phase-1 digests are publishable. */
         bool funcEligible = false;
-        /** funcEligible AND every band digested: the whole-point fast
-         * path (composeScheduledQoR) may engage. */
-        bool eligible = false;
-        /** The function carries the dataflow directive (stage-overlap
-         * composition, double-buffered channels). */
-        bool dataflowTop = false;
-        /** Per-band phase-1 digests, aligned with bandRoots (filled when
-         * funcEligible): the per-band eligibility mask — a nullopt band
-         * (e.g. one containing a call) neither populates nor consumes
-         * the schedule tier, but its digestable siblings still do. */
+        /** Per-band phase-1 digests of func's top-level bands, in body
+         * order (filled when funcEligible): the per-band eligibility
+         * mask — a nullopt band (e.g. one containing a call) neither
+         * populates nor consumes the schedule tier, but its digestable
+         * siblings still do. */
         std::vector<std::optional<BandDigestInfo>> bandDigests;
         /** Ownership of the function's local buffers (valid when
          * funcEligible). */
@@ -192,9 +179,31 @@ class DesignSpace
      * reads it concurrently from every DSE worker. */
     Operation *pristineModule() const { return pristine_.get(); }
 
-    /** The option set the space was built with (the planner must mirror
-     * the materializer's rules, e.g. the maxTotalUnroll rejection). */
-    const DesignSpaceOptions &spaceOptions() const { return options_; }
+    /** @name Materialization rules
+     * The rules phase 1 applies, shared with the planner
+     * (dse/band_plan.h), which must decide exactly what a
+     * materialization would. */
+    ///@{
+    /** True when some band's tile-size product exceeds maxTotalUnroll:
+     * the point is rejected before any IR is built. */
+    bool exceedsUnrollCap(const Decoded &decoded) const;
+    /** The per-band phase-1 transforms of @p decoded's band @p band on
+     * the band rooted at @p root: LP, RVB (LP again once both made the
+     * bounds constant), then the band's permutation, tiling and
+     * pipelining. Returns the transformed band's root, or nullptr when a
+     * transform fails (the point is not materializable). */
+    static Operation *scheduleBand(Operation *root, const Decoded &decoded,
+                                   size_t band);
+    /** The function-level band-locality rule: @p func (with top-level
+     * band roots @p band_roots) carries no pipeline directive, its body
+     * is bands, constants, allocs and the return only, and every local
+     * buffer is owned (bandLocalAllocs). Exactly then the cleanup
+     * pipeline is band-local, so per-band schedule entries compose to
+     * the full pipeline's QoR. Returns the ownership of func's local
+     * buffers when the rule holds, nullopt otherwise. */
+    static std::optional<AllocOwnershipInfo> bandLocalOwnership(
+        Operation *func, const std::vector<Operation *> &band_roots);
+    ///@}
 
   private:
     /** The tunable sub-space of one top-level band. */
@@ -208,10 +217,6 @@ class DesignSpace
 
     /** The deepest band (ties resolved to the first). */
     size_t primaryBandIndex() const;
-
-    /** The function-level fast-path eligibility rule (see Partial);
-     * fills partial.ownership as a side effect. */
-    bool fastPathEligible(Partial &partial) const;
 
     std::unique_ptr<Operation> pristine_;
     DesignSpaceOptions options_;

@@ -20,7 +20,7 @@ DSEEngine::explore()
     // otherwise (unless disabled). Content-keyed, so it never changes
     // results — only how often the estimator re-walks identical IR.
     local_estimates_ = std::make_unique<EstimateCache>();
-    options_.applyCacheBounds(*local_estimates_);
+    local_estimates_->setTierMaxEntries(options_.estimateCacheTierCaps);
     EstimateCache *estimates = options_.sharedEstimates;
     if (!estimates && options_.crossPointCache)
         estimates = local_estimates_.get();
@@ -78,15 +78,6 @@ DSEEngine::explore()
         !options_.cacheSavePath.empty())
         saveEstimateCacheLogged(*estimates, options_.cacheSavePath);
     return result;
-}
-
-void
-DSEOptions::applyCacheBounds(EstimateCache &cache) const
-{
-    if (estimateCacheTierCaps.any())
-        cache.setTierMaxEntries(estimateCacheTierCaps);
-    else if (estimateCacheCap != 0)
-        cache.setMaxEntries(estimateCacheCap);
 }
 
 std::vector<FrontierPoint>

@@ -46,22 +46,19 @@ struct DSEOptions
      * uncached reference path (full materialization of every point). */
     bool crossPointCache = true;
     /** Audit mode (`-dse-audit` / SCALEHLS_DSE_AUDIT): run the L3/L4
-     * auditors — overlay aliasing, overlay IR verification, band digest
-     * coherence, schedule-entry shape — at every fast-path decision of
+     * auditors — overlay aliasing, overlay IR verification, plan digest
+     * mismatches, schedule-entry shape — at every planner decision of
      * the evaluator. A finding is counted, reported on stderr, and
      * forces the affected point onto the validated slow path, so an
      * audited run can be slower but never wrong. */
     bool auditMode = dseAuditEnvDefault();
-    /** Max entries PER TIER of the engine-owned estimate cache (coarse
-     * LRU eviction; 0 = unbounded). Bounds memory on week-long sweeps
-     * without changing results; external sharedEstimates caches are the
-     * caller's to bound. */
-    size_t estimateCacheCap = 0;
-    /** Independent per-tier bounds (func/band/schedule/plan); when any
-     * field is nonzero this overrides estimateCacheCap entirely —
-     * schedule/plan entries are far heavier than function QoRs, so
-     * persistent deployments size the tiers separately
-     * (`-dse-cache-cap=f:b:s:p`). */
+    /** Max entries per tier (func/band/schedule/plan) of the estimate
+     * cache the exploration creates (coarse LRU eviction; 0 = that tier
+     * unbounded). Bounds memory on week-long sweeps without changing
+     * results; external sharedEstimates caches are the caller's to
+     * bound. Schedule/plan entries are far heavier than function QoRs,
+     * so persistent deployments size the tiers separately
+     * (`-dse-cache-cap=f:b:s:p`; one count caps every tier). */
     EstimateCacheTierCaps estimateCacheTierCaps;
     /** Snapshot persistence (estimate/cache_io): load the estimate cache
      * from cacheLoadPath before exploring and save it to cacheSavePath
@@ -79,10 +76,6 @@ struct DSEOptions
      * kernels of optimizeFunctions), NOT owned; nullptr = the engine
      * creates a per-exploration cache when crossPointCache is set. */
     EstimateCache *sharedEstimates = nullptr;
-
-    /** Apply the cache bounds to @p cache: the per-tier caps when any
-     * are set, else the uniform estimateCacheCap. */
-    void applyCacheBounds(EstimateCache &cache) const;
 };
 
 /** The 5-step DSE algorithm over one kernel's design space. */

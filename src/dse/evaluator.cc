@@ -5,7 +5,6 @@
 #include <unordered_map>
 
 #include "dse/pareto.h"
-#include "estimate/coherence_audit.h"
 
 namespace scalehls {
 
@@ -50,60 +49,6 @@ CachingEvaluator::recordAuditFindings(
     for (const VerifyError &e : findings)
         std::cerr << "dse-audit: " << e.str() << "\n";
     return true;
-}
-
-std::optional<QoRResult>
-CachingEvaluator::evaluateScheduled(const DesignSpace::Partial &partial)
-{
-    if (!partial.eligible ||
-        partial.bandDigests.size() != partial.bandRoots.size())
-        return std::nullopt;
-
-    // Hold the looked-up entries by value (the sharded cache returns
-    // copies) and compose only when EVERY band hit.
-    std::string func_name = funcName(partial.func);
-    std::vector<BandScheduleEntry> entries;
-    entries.reserve(partial.bandDigests.size());
-    for (size_t i = 0; i < partial.bandDigests.size(); ++i) {
-        auto entry = estimates_->lookupSchedule(
-            partial.bandDigests[i]->digest,
-            func_name + "#" + std::to_string(i));
-        if (!entry)
-            return std::nullopt;
-        entries.push_back(std::move(*entry));
-    }
-
-    if (audit_) {
-        // L4: re-derive each band's digest from the phase-1 IR and
-        // shape-check each entry against the external table that will
-        // resolve it. Any finding drops the point to the full pipeline.
-        std::vector<VerifyError> findings;
-        for (size_t i = 0; i < entries.size(); ++i) {
-            bump(counters_.auditChecks);
-            auto coherent = auditBandCoherence(
-                partial.bandRoots[i], partial.bandDigests[i]->digest,
-                &partial.ownership);
-            findings.insert(findings.end(), coherent.begin(),
-                            coherent.end());
-            auto shaped = auditScheduleEntry(
-                entries[i], partial.bandDigests[i]->externals,
-                func_name + "#" + std::to_string(i));
-            findings.insert(findings.end(), shaped.begin(),
-                            shaped.end());
-        }
-        if (recordAuditFindings(findings))
-            return std::nullopt;
-    }
-
-    ScheduledFunction function;
-    function.dataflow = partial.dataflowTop;
-    function.bands.reserve(entries.size());
-    for (size_t i = 0; i < entries.size(); ++i)
-        function.bands.push_back(
-            {&entries[i], &partial.bandDigests[i]->externals});
-    for (const OwnedBuffer &buffer : partial.ownership.buffers)
-        function.allocs.push_back({buffer.memref, buffer.kept});
-    return composeScheduledQoR(function);
 }
 
 void
@@ -170,15 +115,13 @@ CachingEvaluator::evaluateFresh(const DesignSpace::Point &point,
             if (planned.usedOverlay) {
                 bump(counters_.overlayMaterializations);
             } else {
-                // Zero IR built: count it as a fast-path hit too — it is
-                // the same validated band-incremental composition, minus
-                // even the phase-1 transforms.
+                // Zero IR built (fastPathHits mirrors planComposed).
                 bump(counters_.fastPathHits);
                 bump(counters_.planComposed);
             }
             return finalize(planned.qor);
           case BandPlanner::Outcome::Kind::Infeasible:
-            // Exactly what the legacy path returns for a point whose
+            // Exactly what the full pipeline returns for a point whose
             // materialization fails — minus the clone and transforms.
             bump(counters_.planInfeasible);
             result.latency = kInfeasibleQoR;
@@ -188,27 +131,13 @@ CachingEvaluator::evaluateFresh(const DesignSpace::Point &point,
           case BandPlanner::Outcome::Kind::Fallback:
             if (planned.mismatched)
                 bump(counters_.planMismatches);
-            break; // Run the validated legacy pipeline below.
-        }
-    }
-
-    DesignSpace::Partial partial;
-    if (estimates_) {
-        partial = space_.beginMaterialize(point);
-        if (partial.module) {
-            if (auto composed = evaluateScheduled(partial)) {
-                // Every band hit the schedule tier and validated: the
-                // composed QoR is bit-identical to what the skipped
-                // cleanup + partition + estimator walk would produce.
-                bump(counters_.fastPathHits);
-                return finalize(*composed);
-            }
+            break; // Run the full pipeline below.
         }
     }
 
     bump(counters_.fullMaterializations);
-    auto module = estimates_ ? space_.finishMaterialize(partial)
-                             : space_.materialize(point);
+    DesignSpace::Partial partial = space_.beginMaterialize(point);
+    auto module = space_.finishMaterialize(partial);
     if (!module) {
         result.latency = kInfeasibleQoR;
         result.interval = kInfeasibleQoR;
@@ -218,9 +147,8 @@ CachingEvaluator::evaluateFresh(const DesignSpace::Point &point,
 
     QoREstimator estimator(module.get(), pool_, estimates_);
     result = finalize(estimator.estimateModule());
-    // funcEligible (not the all-band `eligible`): a mixed function whose
-    // call-carrying bands are masked out still publishes entries for its
-    // digestable bands.
+    // A mixed function whose call-carrying bands are masked out still
+    // publishes entries for its digestable bands.
     if (estimates_ && partial.funcEligible)
         insertScheduleEntries(partial, estimator);
     if (module_out)

@@ -9,13 +9,13 @@
  * There is one evaluation path per cache state. WITHOUT an estimate
  * cache every memo miss runs the full materialize-and-estimate pipeline:
  * the uncached reference that tests and the smith oracle compare
- * against. WITH a cache a miss is decided by the first of these that
- * applies: the planner's zero-IR composition or infeasibility proof
- * (PLAN + SCHEDULE tiers), a copy-on-write overlay that rebuilds only
- * the missed bands, the schedule-composed fast path (phase-1 transforms
- * + the SCHEDULE tier, taken when the planner falls back), and finally
- * the full pipeline. Every cached answer is bit-identical to the
- * reference.
+ * against. WITH a cache a miss is decided by the planner (dse/band_plan.h)
+ * — a zero-IR composition or infeasibility proof from the PLAN +
+ * SCHEDULE tiers, or a copy-on-write overlay that rebuilds only the
+ * missed bands — and, when the planner falls back or the kernel is not
+ * plannable, by the full pipeline, which publishes the SCHEDULE-tier
+ * entries the planner composes from. Every cached answer is
+ * bit-identical to the reference.
  *
  * Results are returned BY VALUE: the memo cache is sharded and grows
  * concurrently, so a `const QoRResult&` into it could not survive a
@@ -57,11 +57,11 @@ struct BasicDSEStats
     /** Misses that ran the FULL pipeline (phase-2 cleanup + partition +
      * estimator walk). */
     T fullMaterializations{};
-    /** Misses served by the band-incremental fast path (every band hit
-     * the schedule tier and validated), INCLUDING planComposed. */
+    /** Misses composed with zero IR; always equal to planComposed
+     * (kept until the benchmark stops reading it from serve replies). */
     T fastPathHits{};
-    /** Fast-path hits decided entirely from the PLAN + SCHEDULE tiers:
-     * no clone, no transform, no IR of any kind. */
+    /** Misses decided entirely from the PLAN + SCHEDULE tiers: no
+     * clone, no transform, no IR of any kind. */
     T planComposed{};
     /** Misses built through a copy-on-write overlay (only the
      * schedule-missing bands were built). */
@@ -155,10 +155,11 @@ bool dseAuditEnvDefault();
  * worker (and potentially across evaluators). The pool is also handed to
  * each QoREstimator so multi-function points estimate their callees
  * concurrently (intra-point parallelism). @p audit (`-dse-audit` /
- * SCALEHLS_DSE_AUDIT) runs the L3/L4 auditors — overlay aliasing, cache
- * coherence, schedule-entry shape, overlay IR verification — at every
- * fast-path decision; a finding is counted, reported, and forces the
- * slow path, so audited runs trade time for proof, never correctness. */
+ * SCALEHLS_DSE_AUDIT) runs the L3/L4 auditors — overlay aliasing, plan
+ * digest mismatches, schedule-entry shape, overlay IR verification — at
+ * every planner decision; a finding is counted, reported, and forces the
+ * full pipeline, so audited runs trade time for proof, never
+ * correctness. */
 class CachingEvaluator : public Evaluator
 {
   public:
@@ -203,16 +204,12 @@ class CachingEvaluator : public Evaluator
     DSEStats stats() const;
 
   private:
-    /** Uncached materialize + estimate of one point. @p module_out
-     * (optional) receives the materialized module when the full pipeline
-     * ran (the fast path composes the QoR without one). */
+    /** Decide one memo miss: the planner, else the full pipeline.
+     * @p module_out (optional) receives the materialized module when the
+     * full pipeline ran (the planner answers without one). */
     QoRResult evaluateFresh(const DesignSpace::Point &point,
                             std::unique_ptr<Operation> *module_out =
                                 nullptr);
-    /** The band-incremental fast path; nullopt -> run the full
-     * pipeline. */
-    std::optional<QoRResult> evaluateScheduled(
-        const DesignSpace::Partial &partial);
     /** Publish the schedule-tier entries of a fully materialized,
      * eligible point. */
     void insertScheduleEntries(const DesignSpace::Partial &partial,

@@ -1,7 +1,6 @@
 #include "estimate/coherence_audit.h"
 
 #include "dialect/ops.h"
-#include "ir/printer.h"
 
 namespace scalehls {
 
@@ -40,30 +39,6 @@ auditDigestCoverage()
 {
     return auditDigestCoverage(digestExcludedAttrs(),
                                estimateRelevantAttrs());
-}
-
-std::vector<VerifyError>
-auditBandCoherence(Operation *band_root, const std::string &claimed_digest,
-                   const AllocOwnershipInfo *ownership)
-{
-    std::vector<VerifyError> errors;
-    auto info = bandEstimateDigestInfo(band_root,
-                                       /*mask_partitions=*/false,
-                                       ownership);
-    if (!info) {
-        errors.push_back(
-            {VerifyKind::MalformedScheduleEntry, opPath(band_root),
-             "band claims schedule digest '" + claimed_digest +
-                 "' but its digest cannot be derived from the IR"});
-        return errors;
-    }
-    if (info->digest != claimed_digest)
-        errors.push_back(
-            {VerifyKind::StaleScheduleEntry, opPath(band_root),
-             "band digest re-derived from IR is '" + info->digest +
-                 "' but the cache entry was claimed under '" +
-                 claimed_digest + "'"});
-    return errors;
 }
 
 std::vector<VerifyError>

@@ -2,14 +2,16 @@
  * @file
  * L4 cache-coherence auditing (see ir/verifier.h for the layer map).
  *
- * The schedule/PLAN fast paths replace IR work with cached claims: a
+ * The planner (dse/band_plan.h) replaces IR work with cached claims: a
  * band's phase-1 digest names a schedule entry, the entry's external ids
  * index a value table, and the digest itself promises to cover every IR
- * fact the estimate reads. The auditors re-derive each claim from the
- * materialized IR and report any divergence as a VerifyError — a stale
- * entry, a malformed entry, or a digest-coverage gap — instead of letting
- * a silently wrong QoR escape. They run under DSEOptions::auditMode /
- * `-dse-audit`; a clean production run pays none of this.
+ * fact the estimate reads. The auditors here check an entry's shape
+ * against the table that resolves it and close the digest-coverage
+ * registry; the planner itself reports a PLAN-tier digest that its
+ * overlay materialization contradicts (StaleScheduleEntry). Every
+ * finding is a VerifyError instead of a silently wrong QoR. They run
+ * under DSEOptions::auditMode / `-dse-audit`; a clean production run
+ * pays none of this.
  */
 
 #ifndef SCALEHLS_ESTIMATE_COHERENCE_AUDIT_H
@@ -42,17 +44,6 @@ std::vector<VerifyError> auditDigestCoverage(
     const std::set<std::string> &excluded,
     const std::vector<std::string> &relevant);
 std::vector<VerifyError> auditDigestCoverage();
-
-/** Re-derive @p band_root's phase-1 digest from the materialized IR
- * (exactly as beginMaterialize computes it: partition-sensitive, with
- * ownership notes) and check it against @p claimed_digest — the digest
- * the schedule/PLAN machinery used to claim a cache entry for this band.
- * A mismatch means the fast path consulted an entry the IR no longer
- * backs (StaleScheduleEntry); an underivable digest means the band was
- * never eligible to carry one (MalformedScheduleEntry). */
-std::vector<VerifyError> auditBandCoherence(
-    Operation *band_root, const std::string &claimed_digest,
-    const AllocOwnershipInfo *ownership);
 
 /** Shape-audit one schedule entry against the external-value table it
  * will be resolved with: every memref record must index the table, land

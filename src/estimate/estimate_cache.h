@@ -63,12 +63,6 @@ struct EstimateCacheTierCaps
     size_t band = 0;
     size_t schedule = 0;
     size_t plan = 0;
-
-    bool
-    any() const
-    {
-        return func != 0 || band != 0 || schedule != 0 || plan != 0;
-    }
 };
 
 /** Parse a cache-cap spec: either one count applied to every tier
@@ -199,21 +193,11 @@ class EstimateCache
     }
     ///@}
 
-    /** Bound each tier to @p max_entries_per_tier entries (coarse hit-count-informed LRU
-     * eviction; see ConcurrentCache::setMaxEntries). 0 = unbounded (the
-     * default). Content-keyed tiers just recompute evicted values, so
-     * bounding changes memory, never results. Set before populating. */
-    void
-    setMaxEntries(size_t max_entries_per_tier)
-    {
-        cache_.setMaxEntries(max_entries_per_tier);
-        bands_.setMaxEntries(max_entries_per_tier);
-        schedules_.setMaxEntries(max_entries_per_tier);
-        plans_.setMaxEntries(max_entries_per_tier);
-    }
-
-    /** Bound each tier independently (0 = that tier unbounded). Same
-     * LRU/memory-only semantics as setMaxEntries. */
+    /** Bound each tier independently (coarse hit-count-informed LRU
+     * eviction; see ConcurrentCache::setMaxEntries). 0 = that tier
+     * unbounded (the default). Content-keyed tiers just recompute
+     * evicted values, so bounding changes memory, never results. Set
+     * before populating. */
     void
     setTierMaxEntries(const EstimateCacheTierCaps &caps)
     {

@@ -74,9 +74,8 @@ buildPoints(const DesignSpace &space, uint64_t seed, int target)
 
 /** Pre-seed every PLAN key @p points consult with a materializable but
  * never-composable outcome. The planner then falls back on every
- * point, so misses take the schedule-composed path (warm) or the full
- * path (cold) — the production route of kernels whose plans cannot
- * compose. */
+ * point, so misses run the full pipeline over a warm estimate cache —
+ * the production route of kernels whose plans cannot compose. */
 void
 blockPlans(const DesignSpace &space, EstimateCache &cache,
            const std::vector<DesignSpace::Point> &points)
@@ -163,17 +162,22 @@ runSmithOracle(const SmithSample &sample, const SmithOracleConfig &config)
 
         // Counter invariants (exact, derived from the evaluator's memo
         // accounting): every memo miss is decided by exactly one
-        // decision class (fastPathHits covers both composed classes),
-        // and every batch slot is a miss, a memo hit, or an in-batch
-        // dedup.
-        size_t classes = pass.fullMaterializations + pass.fastPathHits +
+        // decision class, the only zero-IR composition is the
+        // planner's, and every batch slot is a miss, a memo hit, or an
+        // in-batch dedup.
+        size_t classes = pass.fullMaterializations + pass.planComposed +
                          pass.overlayMaterializations + pass.planInfeasible;
         if (pass.materializations != classes)
             diverge("counters@" + label,
                     "materializations (" +
                         std::to_string(pass.materializations) +
-                        ") != full+schedule+plan+overlay+planInfeasible (" +
+                        ") != full+planComposed+overlay+planInfeasible (" +
                         std::to_string(classes) + ")");
+        if (pass.fastPathHits != pass.planComposed)
+            diverge("counters@" + label,
+                    "fastPathHits (" + std::to_string(pass.fastPathHits) +
+                        ") != planComposed (" +
+                        std::to_string(pass.planComposed) + ")");
         size_t accounted =
             pass.materializations + pass.memoHits + pass.batchDedups;
         if (accounted != points.size())
@@ -221,8 +225,8 @@ runSmithOracle(const SmithSample &sample, const SmithOracleConfig &config)
     //    infeasibility; the warm replay composes from the PLAN and
     //    SCHEDULE tiers with zero IR.
     //  - blocked: every consulted plan is pre-seeded as non-composable,
-    //    so the cold pass runs full materializations and the warm replay
-    //    is schedule-composed.
+    //    so both passes run full materializations, the warm replay over
+    //    the function and band tiers the cold pass filled.
     std::vector<unsigned> thread_counts = {1};
     if (config.threads > 1)
         thread_counts.push_back(config.threads);

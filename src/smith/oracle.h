@@ -9,8 +9,8 @@
  *    replaying on the warm cache — covers the full, overlay,
  *    plan-composed and plan-infeasible decisions;
  *  - plan-blocked: every consulted PLAN key is pre-seeded as
- *    non-composable before the same cold pass and warm replay — forces
- *    the plan-fallback -> schedule-composed decision.
+ *    non-composable before the same cold pass and warm replay — pins
+ *    the cached full pipeline after a planner fallback.
  *
  * The oracle fails on ANY divergence: a QoR that differs from the
  * reference in any field, an evaluator counter combination that breaks
@@ -64,8 +64,7 @@ struct SmithOracleResult
     size_t points = 0;        ///< Points probed.
     size_t evaluations = 0;   ///< Point evaluations across all runs.
     /** Evaluator counters summed over every production pass: how the
-     * memo misses were decided (full, schedule-composed =
-     * fastPathHits - planComposed, plan-composed, overlay,
+     * memo misses were decided (full, plan-composed, overlay,
      * plan-infeasible). */
     DSEStats decisions;
     std::vector<SmithDivergence> divergences;

@@ -3,7 +3,7 @@
  * -canonicalize (constant folding, algebraic identities, dead code
  * elimination) and -cse (common subexpression elimination over pure ops),
  * following the methodology of classic compiler redundancy elimination
- * (paper Section V-D).
+ * (paper Section V-D), plus the cleanup pipeline built from them.
  */
 
 #include <sstream>
@@ -278,6 +278,17 @@ applyCSE(Operation *scope)
     for (Operation *op : to_erase)
         op->erase();
     return changed;
+}
+
+void
+applyCleanupPipeline(Operation *scope)
+{
+    applyCanonicalize(scope);
+    applySimplifyAffineIf(scope);
+    applyAffineStoreForward(scope);
+    applySimplifyMemrefAccess(scope);
+    applyCSE(scope);
+    applyCanonicalize(scope);
 }
 
 } // namespace scalehls

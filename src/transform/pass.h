@@ -161,6 +161,10 @@ bool applySimplifyMemrefAccess(Operation *scope);
 bool applyCanonicalize(Operation *scope);
 /** -cse: common subexpression elimination on pure ops. */
 bool applyCSE(Operation *scope);
+/** The cleanup pipeline that follows the loop transforms: canonicalize,
+ * simplify-affine-if, store-forward, simplify-memref-access, CSE,
+ * canonicalize. */
+void applyCleanupPipeline(Operation *scope);
 ///@}
 
 /** Fuse two adjacent affine loops with identical domains (the `merge`

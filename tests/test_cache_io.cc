@@ -428,7 +428,10 @@ TEST(CacheIOTest, ParseEstimateCacheCaps)
 
     auto zero = parseEstimateCacheCaps("0");
     ASSERT_TRUE(zero.has_value());
-    EXPECT_FALSE(zero->any());
+    EXPECT_EQ(zero->func, 0u);
+    EXPECT_EQ(zero->band, 0u);
+    EXPECT_EQ(zero->schedule, 0u);
+    EXPECT_EQ(zero->plan, 0u);
 
     EXPECT_FALSE(parseEstimateCacheCaps(""));
     EXPECT_FALSE(parseEstimateCacheCaps("1:2"));

@@ -360,8 +360,10 @@ TEST(DSEEngine, StatsAccountForEveryMissAndMatchRunDSE)
         const DSEStats &stats = engine.stats();
         EXPECT_GT(stats.evaluations, 0u);
         EXPECT_EQ(stats.materializations,
-                  stats.fullMaterializations + stats.fastPathHits +
+                  stats.fullMaterializations + stats.planComposed +
                       stats.overlayMaterializations + stats.planInfeasible)
+            << threads << " threads";
+        EXPECT_EQ(stats.fastPathHits, stats.planComposed)
             << threads << " threads";
 
         auto result =
@@ -723,13 +725,14 @@ TEST(Evaluator, IncrementalFastPathMatchesSlowPath)
         }
         // Interior points skipped phase 2 entirely: strictly fewer full
         // materializations than evaluated points. Every uncached point
-        // is served by exactly one of: the full pipeline, the (plan or
-        // schedule-tier) fast path, an overlay materialization, or a
-        // zero-IR infeasibility verdict.
+        // is served by exactly one of: the full pipeline, the planner's
+        // zero-IR composition, an overlay materialization, or a zero-IR
+        // infeasibility verdict.
         DSEStats stats = incremental.stats();
         EXPECT_GT(stats.fastPathHits, 0u) << kernel;
+        EXPECT_EQ(stats.fastPathHits, stats.planComposed) << kernel;
         EXPECT_LT(stats.fullMaterializations, points.size()) << kernel;
-        EXPECT_EQ(stats.fullMaterializations + stats.fastPathHits +
+        EXPECT_EQ(stats.fullMaterializations + stats.planComposed +
                       stats.overlayMaterializations + stats.planInfeasible,
                   points.size())
             << kernel;
@@ -737,6 +740,35 @@ TEST(Evaluator, IncrementalFastPathMatchesSlowPath)
         EXPECT_EQ(reference.stats().fullMaterializations, points.size())
             << kernel;
     }
+}
+
+TEST(Evaluator, PlannerCoversEveryZooAndPolybenchKernel)
+{
+    // Every kernel the benchmarks explore is plannable, so the planner
+    // or the full pipeline decides each of its cache misses: the eight
+    // PolyBench kernels, and every extracted DNN kernel of the model zoo
+    // at every graph level (234 kernels).
+    EstimateCache cache;
+    std::vector<std::string> names = polybenchKernelNames();
+    names.push_back("2mm");
+    names.push_back("3mm");
+    for (const std::string &name : names) {
+        auto module = parseCToModule(polybenchSource(name, 16));
+        raiseScfToAffine(module.get());
+        DesignSpace space(module.get());
+        EXPECT_TRUE(BandPlanner(space, &cache).enabled()) << name;
+    }
+    size_t dnn_kernels = 0;
+    for (const char *model : {"resnet18", "mobilenet", "vgg16"})
+        for (int level = 1; level <= 7; ++level)
+            for (const DNNKernel &kernel :
+                 buildDNNKernelModules(model, level)) {
+                DesignSpace space(kernel.module.get());
+                EXPECT_TRUE(BandPlanner(space, &cache).enabled())
+                    << model << " level " << level << " " << kernel.name;
+                ++dnn_kernels;
+            }
+    EXPECT_EQ(dnn_kernels, 234u);
 }
 
 TEST(Evaluator, BatchDedupMaterializesDuplicatesOnce)

@@ -189,6 +189,17 @@ TEST(Overlay, DigestPredictionMismatchFallsBackToTheFullPipeline)
     EXPECT_EQ(incremental.stats().planMismatches, 1u);
     EXPECT_EQ(incremental.stats().fullMaterializations, 1u);
 
+    // Audited, the planner names the contradiction: exactly one
+    // StaleScheduleEntry finding, at the corrupted band.
+    BandPlanner audited(space, &cache, /*audit=*/true);
+    BandPlanner::Outcome outcome = audited.evaluate(point);
+    EXPECT_EQ(outcome.kind, BandPlanner::Outcome::Kind::Fallback);
+    EXPECT_TRUE(outcome.mismatched);
+    ASSERT_EQ(outcome.auditFindings.size(), 1u);
+    EXPECT_EQ(outcome.auditFindings[0].kind,
+              VerifyKind::StaleScheduleEntry);
+    EXPECT_EQ(outcome.auditFindings[0].path, "func@0/band@0");
+
     // An uncorrupted cache evaluates the same point mismatch-free.
     EstimateCache clean;
     CachingEvaluator healthy(space, nullptr, &clean);

@@ -204,6 +204,30 @@ TEST(ServeTest, StatsSaveAndQuitRequests)
     EXPECT_EQ(session.completedRequests(), 5u);
 }
 
+TEST(ServeTest, FailedSaveReplyCarriesTheReason)
+{
+    // Every reply carries "ok" plus either "error" or a result: a save
+    // that writes nothing says why, for an unwritable path and for no
+    // path at all.
+    ServeSession session(isolatedOptions());
+    auto expectSaveError = [&](const std::string &request,
+                               const std::string &reason) {
+        JsonValue reply = parsed(session.handleLine(request));
+        EXPECT_EQ(intAt(reply, "id"), 7);
+        EXPECT_FALSE(boolAt(reply, "ok"));
+        ASSERT_NE(reply.get("kind"), nullptr);
+        EXPECT_EQ(reply.get("kind")->string, "save");
+        const JsonValue *error = reply.get("error");
+        ASSERT_NE(error, nullptr) << request;
+        EXPECT_NE(error->string.find(reason), std::string::npos)
+            << error->string;
+    };
+    expectSaveError("{\"id\":7,\"kind\":\"save\",\"path\":"
+                    "\"/nonexistent/dir/x.shlsnap\"}",
+                    "cannot open /nonexistent/dir/x.shlsnap.tmp");
+    expectSaveError("{\"id\":7,\"kind\":\"save\"}", "no snapshot path");
+}
+
 TEST(ServeTest, RepeatedRequestsAreDeterministicAndWarm)
 {
     ServeSession session(isolatedOptions());

@@ -290,26 +290,6 @@ TEST(Verifier, IncompleteOverlayIsCaught)
 // L4 — cache-coherence audit.
 //
 
-TEST(Verifier, BandDigestCoherenceDetectsStaleEntries)
-{
-    auto module = affineModule(kThreeBand);
-    Operation *func = getTopFunc(module.get());
-    auto bands = getLoopBands(func);
-    auto info = bandEstimateDigestInfo(bands[0].front(),
-                                       /*mask_partitions=*/false);
-    ASSERT_TRUE(info.has_value());
-
-    // The IR-backed digest passes; a corrupted claim is stale.
-    EXPECT_TRUE(auditBandCoherence(bands[0].front(), info->digest,
-                                   nullptr)
-                    .empty());
-    auto findings = auditBandCoherence(
-        bands[0].front(), "digest-no-band-ever-hashes-to", nullptr);
-    ASSERT_EQ(findings.size(), 1u);
-    EXPECT_EQ(findings[0].kind, VerifyKind::StaleScheduleEntry);
-    EXPECT_EQ(findings[0].path, "module/func@0/band@0");
-}
-
 TEST(Verifier, MalformedScheduleEntryIsCaught)
 {
     auto module = affineModule(kThreeBand);
@@ -396,7 +376,7 @@ TEST(Verifier, AuditModeIsViolationFreeOnAHealthyRun)
     CachingEvaluator reference(space);
 
     // First pass populates the tiers; the second replays through the
-    // audited fast paths (plan compose / overlay / schedule compose).
+    // audited planner (plan compose / overlay).
     std::vector<DesignSpace::Point> points;
     DesignSpace::Point base(space.numDims(), 0);
     points.push_back(base);

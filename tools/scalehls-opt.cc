@@ -226,7 +226,7 @@ main(int argc, char **argv)
         // both DSE modes (optimizeFunctions would otherwise create an
         // internal one).
         EstimateCache estimate_cache;
-        request.dse.applyCacheBounds(estimate_cache);
+        estimate_cache.setTierMaxEntries(request.dse.estimateCacheTierCaps);
         bool any_dse = run_dse || run_dse_funcs || !request.model.empty();
         if (request.dse.crossPointCache && any_dse)
             request.dse.sharedEstimates = &estimate_cache;

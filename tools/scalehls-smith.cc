@@ -347,10 +347,7 @@ main(int argc, char **argv)
               << evaluations << " evaluations in " << seconds
               << "s; " << divergences << " divergence(s), "
               << audit_violations << " audit violation(s)\n";
-    size_t schedule_composed =
-        decisions.fastPathHits - decisions.planComposed;
     std::cout << "decisions: full=" << decisions.fullMaterializations
-              << " schedule-composed=" << schedule_composed
               << " plan-composed=" << decisions.planComposed
               << " overlay=" << decisions.overlayMaterializations
               << " plan-infeasible=" << decisions.planInfeasible << "\n";
@@ -365,7 +362,6 @@ main(int argc, char **argv)
           << ",\"divergences\":" << divergences
           << ",\"audit_violations\":" << audit_violations
           << ",\"full\":" << decisions.fullMaterializations
-          << ",\"schedule_composed\":" << schedule_composed
           << ",\"plan_composed\":" << decisions.planComposed
           << ",\"overlay\":" << decisions.overlayMaterializations
           << ",\"plan_infeasible\":" << decisions.planInfeasible
