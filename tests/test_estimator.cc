@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "frontend/irgen.h"
+#include "estimate/cache_io.h"
 #include "estimate/estimate_cache.h"
 #include "estimate/qor_estimator.h"
 #include "ir/builder.h"
@@ -658,6 +659,74 @@ TEST(Estimator, DigestDistinguishesDirectives)
     ASSERT_TRUE(applyLoopPipelining(band.back(), 2));
     auto directed = moduleEstimateDigests(clone.get());
     EXPECT_NE(digests.digest.at(top), directed.digest.at(clone_top));
+}
+
+TEST(EstimateCache, DigestsArePinned)
+{
+    // Golden digests. Snapshots persist entries under these keys, so the
+    // bytes TreeSerializer feeds must not drift unless the digest schema
+    // salt moves with them. Each kernel's first band carries a pipeline
+    // directive and a partitioned interface array, so directive
+    // attributes, partitioned memref types and the per-dim masked layout
+    // all reach the digest.
+    struct Golden
+    {
+        const char *kernel;
+        const char *func;
+        const char *bandMasked;
+        const char *bandUnmasked;
+        uint64_t planLaneA;
+        uint64_t planLaneB;
+    };
+    const Golden goldens[] = {
+        {"gemm", "186f85f391764d6399454337d2e3c1b3",
+         "71fa99676cf7adfdf878d60ecea07bed",
+         "ed761843f5f9e7d8a35bff3891592601", 10463891827713073804ull,
+         8102971602766481241ull},
+        {"syrk", "3272ace93f0f001e21e4b36e893333cb",
+         "6ee56ab962d246b1f3c5b12aa63c4a78",
+         "1809052171cedc3ebaf3713482d1fdb2", 4481647071178216858ull,
+         3074090621876861898ull},
+        {"trmm", "fddfd869e6edf5ed01ca96b387356c6b",
+         "db0e21f4a419735a4bb0168596774b8b",
+         "178b47e7c87b4ce59763cb72617ea065", 7796910974244363409ull,
+         4008882785549826621ull},
+    };
+    for (const Golden &golden : goldens) {
+        SCOPED_TRACE(golden.kernel);
+        auto module = affineModule(polybenchSource(golden.kernel, 16));
+        Operation *func = getTopFunc(module.get());
+        Operation *band = getLoopBands(func)[0][0];
+        ASSERT_TRUE(applyLoopPipelining(getLoopNest(band).back(), 1));
+        for (Value *arg : funcBody(func)->arguments()) {
+            if (!arg->type().isMemRef())
+                continue;
+            PartitionPlan plan;
+            plan.kinds = {PartitionKind::Block, PartitionKind::Cyclic};
+            plan.factors = {2, 4};
+            applyPartitionPlan(arg, plan);
+            break;
+        }
+
+        EstimateDigests digests;
+        addFuncEstimateDigests(func, module.get(), digests);
+        EXPECT_EQ(digests.digest.at(func), golden.func);
+        auto masked = bandEstimateDigestInfo(band, true);
+        auto unmasked = bandEstimateDigestInfo(band, false);
+        ASSERT_TRUE(masked && unmasked);
+        EXPECT_EQ(masked->digest, golden.bandMasked);
+        EXPECT_EQ(unmasked->digest, golden.bandUnmasked);
+        auto seed = bandPlanSeed(band, nullptr);
+        ASSERT_TRUE(seed);
+        EXPECT_EQ(seed->laneA, golden.planLaneA);
+        EXPECT_EQ(seed->laneB, golden.planLaneB);
+    }
+    EXPECT_EQ(cacheSnapshotSalt(),
+              "digest-schema-1|excluded:hlscpp.top_func,|relevant:"
+              "hlscpp.loop_directive,hlscpp.func_directive,"
+              "hlscpp.dataflow_stage,hlscpp.point_loop,lower_map,"
+              "upper_map,lb_count,step,map,condition,value,callee,|hash:"
+              "5a06ac7ba41b6225a33ccc4fe20ae499");
 }
 
 TEST(Estimator, CyclicFunctionsExcludedFromDigestSharing)
