@@ -1,9 +1,11 @@
 #include "analysis/memory_analysis.h"
 
 #include <algorithm>
+#include <cmath>
 #include <map>
 #include <set>
-#include <cmath>
+#include <unordered_map>
+#include <unordered_set>
 
 #include "support/utils.h"
 
@@ -84,6 +86,38 @@ makeAccess(Operation *op, const std::vector<Value *> &band_ivs)
     return access;
 }
 
+/** Number the subscript classes of one collectAccesses result. */
+void
+assignSubscriptClasses(std::vector<MemAccess> &accesses)
+{
+    // Classes by coefficient-vector hash, confirmed by comparing the
+    // vectors in place (a hash collision must not merge classes).
+    std::unordered_map<uint64_t,
+                       std::vector<std::pair<const AffineExprNode *,
+                                             int32_t>>>
+        classes;
+    int32_t next = 0;
+    for (MemAccess &access : accesses) {
+        access.linearClass.assign(access.indices.size(),
+                                  kNonLinearSubscript);
+        for (size_t d = 0; d < access.indices.size(); ++d) {
+            const AffineExprNode &node = access.indices[d].node();
+            if (!node.linValid)
+                continue;
+            auto &bucket = classes[node.linHash];
+            int32_t id = kNonLinearSubscript;
+            for (const auto &[rep, rep_id] : bucket)
+                if (rep->linCoeffs == node.linCoeffs)
+                    id = rep_id;
+            if (id == kNonLinearSubscript) {
+                id = next++;
+                bucket.emplace_back(&node, id);
+            }
+            access.linearClass[d] = id;
+        }
+    }
+}
+
 } // namespace
 
 std::vector<MemAccess>
@@ -94,7 +128,34 @@ collectAccesses(Operation *scope, const std::vector<Value *> &band_ivs)
         if (isMemoryAccess(op))
             accesses.push_back(makeAccess(op, band_ivs));
     });
+    assignSubscriptClasses(accesses);
     return accesses;
+}
+
+std::optional<LinearSubscriptKey>
+linearSubscriptKey(const MemAccess &access)
+{
+    if (!access.normalized)
+        return std::nullopt;
+    LinearSubscriptKey key;
+    key.reserve(access.indices.size());
+    for (unsigned d = 0; d < access.indices.size(); ++d) {
+        if (access.linearClass[d] == kNonLinearSubscript)
+            return std::nullopt;
+        key.emplace_back(access.linearClass[d], access.constant(d));
+    }
+    return key;
+}
+
+size_t
+LinearSubscriptKeyHash::operator()(const LinearSubscriptKey &key) const
+{
+    uint64_t h = key.size();
+    for (const auto &[cls, constant] : key) {
+        h = (h ^ static_cast<uint64_t>(cls)) * 0x100000001b3ull;
+        h = (h ^ static_cast<uint64_t>(constant)) * 0xff51afd7ed558ccdull;
+    }
+    return static_cast<size_t>(h ^ (h >> 29));
 }
 
 std::vector<std::pair<Value *, std::vector<MemAccess>>>
@@ -114,39 +175,47 @@ groupByMemRef(const std::vector<MemAccess> &accesses)
     return groups;
 }
 
-namespace {
-
 bool
-indicesEqual(const std::vector<AffineExpr> &a,
-             const std::vector<AffineExpr> &b)
+sameSubscripts(const MemAccess &a, const MemAccess &b)
 {
-    if (a.size() != b.size())
+    if (a.indices.size() != b.indices.size())
         return false;
-    for (unsigned i = 0; i < a.size(); ++i)
-        if (!a[i].equals(b[i]))
+    for (unsigned i = 0; i < a.indices.size(); ++i)
+        if (!a.indices[i].equals(b.indices[i]))
             return false;
     return true;
 }
 
-/** Deduplicate accesses by subscript vector; non-normalized accesses are
- * always considered unique. */
+uint64_t
+subscriptsHash(const MemAccess &access)
+{
+    uint64_t h = access.indices.size();
+    for (const AffineExpr &e : access.indices)
+        h = (h ^ e.hash()) * 0x100000001b3ull;
+    return h;
+}
+
+namespace {
+
+/** Deduplicate accesses by (structurally equal) subscript vector,
+ * bucketed by hash; non-normalized accesses are always considered
+ * unique. First occurrences keep their order. */
 std::vector<const MemAccess *>
 uniqueAccesses(const std::vector<MemAccess> &accesses)
 {
     std::vector<const MemAccess *> unique;
+    std::unordered_map<uint64_t, std::vector<const MemAccess *>> seen;
     for (const MemAccess &access : accesses) {
-        bool duplicate = false;
         if (access.normalized) {
-            for (const MemAccess *seen : unique) {
-                if (seen->normalized &&
-                    indicesEqual(seen->indices, access.indices)) {
-                    duplicate = true;
-                    break;
-                }
-            }
+            auto &bucket = seen[subscriptsHash(access)];
+            if (std::any_of(bucket.begin(), bucket.end(),
+                            [&](const MemAccess *other) {
+                                return sameSubscripts(*other, access);
+                            }))
+                continue;
+            bucket.push_back(&access);
         }
-        if (!duplicate)
-            unique.push_back(&access);
+        unique.push_back(&access);
     }
     return unique;
 }
@@ -166,49 +235,51 @@ computePartitionPlan(Value *memref, const std::vector<MemAccess> &accesses)
     if (unique.size() < 2)
         return plan;
 
-    constexpr int64_t kUnknownDistance = -1;
     for (unsigned d = 0; d < rank; ++d) {
-        // Unique subscript expressions along this dimension.
-        std::vector<AffineExpr> dim_exprs;
+        // Structurally unique subscript expressions along this dimension
+        // (bucketed by hash), each with its linear class.
+        std::vector<std::pair<const AffineExpr *, int32_t>> dim_exprs;
+        std::unordered_map<uint64_t, std::vector<const AffineExpr *>> seen;
         bool any_unknown = false;
         for (const MemAccess *access : unique) {
             if (!access->normalized || d >= access->indices.size()) {
                 any_unknown = true;
                 continue;
             }
-            AffineExpr e = access->indices[d];
-            bool seen = false;
-            for (const auto &s : dim_exprs)
-                seen |= s.equals(e);
-            if (!seen)
-                dim_exprs.push_back(e);
+            const AffineExpr &e = access->indices[d];
+            auto &bucket = seen[e.hash()];
+            if (std::any_of(bucket.begin(), bucket.end(),
+                            [&](const AffineExpr *other) {
+                                return other->equals(e);
+                            }))
+                continue;
+            bucket.push_back(&e);
+            dim_exprs.emplace_back(&e, access->linearClass[d]);
         }
         int64_t num_unique = static_cast<int64_t>(dim_exprs.size()) +
                              (any_unknown ? 1 : 0);
         if (num_unique < 2)
             continue;
 
-        // Max pairwise constant distance (paper Eq. 1 denominator - 1);
-        // non-constant differences make the distance unknown.
-        int64_t max_dist = 0;
-        for (unsigned m = 0; m < dim_exprs.size() && max_dist >= 0; ++m) {
-            for (unsigned n = m + 1; n < dim_exprs.size(); ++n) {
-                auto diff = constantDiff(dim_exprs[m], dim_exprs[n]);
-                if (!diff) {
-                    max_dist = kUnknownDistance;
-                    break;
-                }
-                max_dist = std::max(max_dist, std::abs(*diff));
-            }
+        // Max pairwise constant distance (paper Eq. 1 denominator - 1):
+        // known exactly when every unique subscript is linear in one
+        // class, where it is the span of the constants.
+        bool known = !any_unknown;
+        int64_t lo = 0, hi = 0;
+        for (size_t i = 0; known && i < dim_exprs.size(); ++i) {
+            auto [e, cls] = dim_exprs[i];
+            known = cls != kNonLinearSubscript && cls == dim_exprs[0].second;
+            if (!known)
+                break;
+            int64_t c = (*e)->linConst;
+            lo = i ? std::min(lo, c) : c;
+            hi = i ? std::max(hi, c) : c;
         }
-        if (any_unknown)
-            max_dist = kUnknownDistance;
 
         int64_t factor = std::min<int64_t>(num_unique, shape[d]);
         if (factor <= 1)
             continue;
-        if (max_dist != kUnknownDistance &&
-            num_unique >= max_dist + 1) {
+        if (known && num_unique >= hi - lo + 1) {
             // P = Accesses / (maxDist + 1) >= 1 -> cyclic.
             plan.kinds[d] = PartitionKind::Cyclic;
         } else {
@@ -297,18 +368,20 @@ subscriptKey(const MemAccess &access)
 {
     std::string key;
     for (const AffineExpr &e : access.indices) {
-        std::vector<std::pair<unsigned, int64_t>> coeffs;
-        int64_t constant = 0;
-        if (e.linearForm(coeffs, constant)) {
-            key += "L";
-            for (const auto &[pos, coeff] : coeffs)
-                key += std::to_string(pos) + "*" +
-                       std::to_string(coeff) + "+";
-            key += std::to_string(constant);
+        if (LinearFormView form = e.linearForm()) {
+            key += 'L';
+            for (const auto &[pos, coeff] : *form.coeffs) {
+                appendInt(key, pos);
+                key += '*';
+                appendInt(key, coeff);
+                key += '+';
+            }
+            appendInt(key, form.constant);
         } else {
-            key += "E" + e.toString();
+            key += 'E';
+            e.print(key);
         }
-        key += "|";
+        key += '|';
     }
     return key;
 }
@@ -334,17 +407,24 @@ findRecurrences(const std::vector<Operation *> &band)
         return dist;
     };
 
-    // Bucket by (memref, canonical subscripts): a recurrence needs a
-    // write and another access at the identical address, so one
-    // representative pair per bucket suffices (all members share the
-    // same carried level and path structure after unrolling).
+    // Bucket by (memref, address): a recurrence needs a write and
+    // another access at the identical address, so one representative
+    // pair per bucket suffices (all members share the same carried level
+    // and path structure after unrolling). All-linear subscripts key on
+    // their (class, constant) tuples; the rare non-linear ones on their
+    // canonical string.
     struct Bucket
     {
         Operation *write = nullptr;
         Operation *other = nullptr;
         const MemAccess *sample = nullptr;
     };
-    std::map<std::pair<Value *, std::string>, Bucket> buckets;
+    std::vector<Bucket> buckets;
+    std::unordered_map<Value *,
+                       std::unordered_map<LinearSubscriptKey, size_t,
+                                          LinearSubscriptKeyHash>>
+        linear_ids;
+    std::map<std::pair<Value *, std::string>, size_t> other_ids;
     std::set<Value *> conservative; // Memrefs with unanalyzable writes.
     std::map<Value *, std::pair<Operation *, Operation *>> conservative_ops;
 
@@ -356,8 +436,18 @@ findRecurrences(const std::vector<Operation *> &band)
                 conservative.insert(access.memref);
             continue;
         }
-        Bucket &bucket =
-            buckets[{access.memref, subscriptKey(access)}];
+        size_t id = buckets.size();
+        if (auto key = linearSubscriptKey(access))
+            id = linear_ids[access.memref].emplace(std::move(*key), id)
+                     .first->second;
+        else
+            id = other_ids.emplace(std::make_pair(access.memref,
+                                                  subscriptKey(access)),
+                                   id)
+                     .first->second;
+        if (id == buckets.size())
+            buckets.emplace_back();
+        Bucket &bucket = buckets[id];
         bucket.sample = &access;
         if (access.isWrite && !bucket.write)
             bucket.write = access.op;
@@ -371,7 +461,7 @@ findRecurrences(const std::vector<Operation *> &band)
             {w, o ? o : w, static_cast<unsigned>(band.size()) - 1, 1});
     }
 
-    for (auto &[key, bucket] : buckets) {
+    for (const Bucket &bucket : buckets) {
         if (!bucket.write)
             continue;
         // The innermost loop absent from the subscripts carries the
@@ -397,42 +487,43 @@ findRecurrences(const std::vector<Operation *> &band)
     return recurrences;
 }
 
-std::map<Value *, std::vector<bool>>
+PartitionRelevance
 partitionRelevantDims(Operation *band_root)
 {
-    std::map<Value *, std::vector<bool>> relevant;
+    PartitionRelevance relevant;
 
     // One scope per plan query the estimator makes; mirrors
     // estimateBand (whole band over the nest IVs) and minLoopII (each
-    // pipelined leaf over its flattened chain's IVs).
+    // pipelined leaf over its flattened chain's IVs). Dim d of a memref
+    // is relevant iff some linear class along d holds two different
+    // constants among its normalized, rank-matching accesses — exactly
+    // the pairs whose known difference is nonzero.
     auto scan = [&](Operation *scope, const std::vector<Value *> &ivs) {
         auto accesses = collectAccesses(scope, ivs);
-        for (auto &[memref, group] : groupByMemRef(accesses)) {
-            if (!memref->type().isMemRef())
+        // Per memref and dim: the first constant seen in each class.
+        std::unordered_map<
+            Value *, std::vector<std::unordered_map<int32_t, int64_t>>>
+            first;
+        for (const MemAccess &a : accesses) {
+            Type t = a.memref->type();
+            if (!t.isMemRef())
                 continue;
-            unsigned rank = memref->type().rank();
+            unsigned rank = t.rank();
             auto &mask =
-                relevant.emplace(memref, std::vector<bool>(rank, false))
+                relevant.emplace(a.memref, std::vector<bool>(rank, false))
                     .first->second;
-            if (mask.size() != rank)
-                continue;
-            for (size_t i = 0; i < group.size(); ++i) {
-                const MemAccess &a = group[i];
-                if (!a.normalized || a.indices.size() != rank)
-                    continue; // possiblySameBank never reads the plan.
-                for (size_t j = i + 1; j < group.size(); ++j) {
-                    const MemAccess &b = group[j];
-                    if (!b.normalized || b.indices.size() != rank)
-                        continue;
-                    for (unsigned d = 0; d < rank; ++d) {
-                        if (mask[d])
-                            continue;
-                        auto diff =
-                            constantDiff(a.indices[d], b.indices[d]);
-                        if (diff && *diff != 0)
-                            mask[d] = true;
-                    }
-                }
+            if (!a.normalized || a.indices.size() != rank)
+                continue; // possiblySameBank never reads the plan.
+            auto &classes = first[a.memref];
+            classes.resize(rank);
+            for (unsigned d = 0; d < rank; ++d) {
+                int32_t cls = a.linearClass[d];
+                if (mask[d] || cls == kNonLinearSubscript)
+                    continue;
+                auto [it, inserted] =
+                    classes[d].emplace(cls, a.constant(d));
+                if (!inserted && it->second != a.constant(d))
+                    mask[d] = true;
             }
         }
     };

@@ -11,16 +11,28 @@
 
 #include <map>
 #include <optional>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/loop_analysis.h"
 
 namespace scalehls {
 
+/** linearClass of a subscript that is not linear (mod/div/symbols). */
+inline constexpr int32_t kNonLinearSubscript = -1;
+
 /** A memory access with its subscripts expressed over band IVs
  * (d0 = outermost band loop). `normalized` is false when some subscript
  * refers to a value outside the band (the access is then treated
- * conservatively). */
+ * conservatively).
+ *
+ * `linearClass[d]` numbers the linear part (the dim-coefficient vector)
+ * of subscript d among all subscripts of one collectAccesses result, or
+ * is kNonLinearSubscript. Two subscripts of one result with equal
+ * classes differ by a known constant — the difference of their
+ * linear-form constants — and subscripts of different classes never
+ * do, so the analyses bucket by class instead of comparing pairs. */
 struct MemAccess
 {
     Operation *op = nullptr;
@@ -28,12 +40,40 @@ struct MemAccess
     bool isWrite = false;
     bool normalized = false;
     std::vector<AffineExpr> indices;
+    std::vector<int32_t> linearClass;
+
+    /** The linear-form constant of subscript @p d (meaningful when
+     * linearClass[d] is a class). */
+    int64_t constant(unsigned d) const { return indices[d]->linConst; }
 };
 
 /** Collect all affine/memref accesses nested in @p scope and express their
- * subscripts over @p band_ivs. */
+ * subscripts over @p band_ivs, with subscript classes assigned. */
 std::vector<MemAccess> collectAccesses(Operation *scope,
                                        const std::vector<Value *> &band_ivs);
+
+/** The address key of a normalized access whose subscripts are all
+ * linear: (class, constant) per dim. Equal keys of one collectAccesses
+ * result mean identical addresses every iteration. */
+using LinearSubscriptKey = std::vector<std::pair<int32_t, int64_t>>;
+
+/** @p access's LinearSubscriptKey, or nullopt when it is not normalized
+ * or some subscript is not linear. */
+std::optional<LinearSubscriptKey> linearSubscriptKey(
+    const MemAccess &access);
+
+/** Hash of a LinearSubscriptKey, for unordered containers. */
+struct LinearSubscriptKeyHash
+{
+    size_t operator()(const LinearSubscriptKey &key) const;
+};
+
+/** True when both subscript vectors are structurally equal. */
+bool sameSubscripts(const MemAccess &a, const MemAccess &b);
+
+/** Structural hash of @p access's subscript vector: accesses with
+ * sameSubscripts hash equally. */
+uint64_t subscriptsHash(const MemAccess &access);
 
 /** Group accesses by accessed memref (deterministic order of first use). */
 std::vector<std::pair<Value *, std::vector<MemAccess>>>
@@ -92,7 +132,9 @@ struct Recurrence
 };
 
 /** Canonical string key of an access's subscript vector (linear-form
- * based): equal keys imply identical addresses every iteration. */
+ * based): equal keys imply identical addresses every iteration. Unlike
+ * LinearSubscriptKey it compares across collectAccesses results and
+ * covers non-linear subscripts (by their rendering). */
 std::string subscriptKey(const MemAccess &access);
 
 /** Per-dimension partition RELEVANCE of every memref accessed inside the
@@ -105,13 +147,15 @@ std::string subscriptKey(const MemAccess &access);
  * verdict when that constant is zero. So d is relevant only when some
  * pair, in some scope the estimator queries (the whole band normalized
  * over the nest IVs, plus each pipelined leaf normalized over its
- * flattened chain), has a known NONZERO difference. Repartitioning an
- * irrelevant dim provably cannot change the band's estimate, which is
+ * flattened chain), has a known NONZERO difference — i.e. some linear
+ * subscript class along d holds two different constants. Repartitioning
+ * an irrelevant dim provably cannot change the band's estimate, which is
  * what lets the band digest mask such dims (partition-aware band keys).
  * The analysis reads subscripts only — never layouts — so digest-equal
- * bands always agree on their masks. */
-std::map<Value *, std::vector<bool>> partitionRelevantDims(
-    Operation *band_root);
+ * bands always agree on their masks. One pass over each scope's
+ * accesses. */
+using PartitionRelevance = std::map<Value *, std::vector<bool>>;
+PartitionRelevance partitionRelevantDims(Operation *band_root);
 
 /** Find memory recurrences within @p band. Only equal-subscript pairs are
  * detected (the dominant recurrence pattern of reduction kernels);

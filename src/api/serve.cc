@@ -108,6 +108,20 @@ dseStatsJson(const DSEStats &stats)
     return out;
 }
 
+/** The reply fields of one kernel's DSE: "feasible" is the answered
+ * QoR's own flag (a winner can still carry the infeasible sentinel). */
+std::string
+dseResultJson(const std::optional<DSEResult> &result)
+{
+    if (!result)
+        return ",\"feasible\":false";
+    return std::string(",\"feasible\":") +
+           (result->qor.feasible ? "true" : "false") +
+           ",\"qor\":" + qorJson(result->qor) +
+           ",\"frontier\":" + frontierJson(result->frontier) + "," +
+           dseStatsJson(*result);
+}
+
 /** Per-request exploration setup over the shared decode/validate path
  * (api/explore_request.h). The session cache is injected as
  * sharedEstimates, so no engine ever touches snapshot persistence (the
@@ -273,13 +287,7 @@ ServeSession::handleKernelRequest(const JsonValue &req,
                       ",\"ok\":true,\"kind\":\"kernel\",\"design\":\"" +
                       jsonEscape(request.model + "/" + kernel.name) +
                       "\"";
-    if (!result) {
-        out += ",\"feasible\":false";
-    } else {
-        out += ",\"feasible\":true,\"qor\":" + qorJson(result->qor) +
-               ",\"frontier\":" + frontierJson(result->frontier) + "," +
-               dseStatsJson(*result);
-    }
+    out += dseResultJson(result);
     out += ",\"cache\":" + cacheJson(cache_) + "}";
     return out;
 }
@@ -332,13 +340,7 @@ ServeSession::handlePolybenchRequest(const JsonValue &req,
         "{\"id\":" + id +
         ",\"ok\":true,\"kind\":\"polybench\",\"design\":\"" +
         jsonEscape(kernel + "-" + num(size)) + "\"";
-    if (!result) {
-        out += ",\"feasible\":false";
-    } else {
-        out += ",\"feasible\":true,\"qor\":" + qorJson(result->qor) +
-               ",\"frontier\":" + frontierJson(result->frontier) + "," +
-               dseStatsJson(*result);
-    }
+    out += dseResultJson(result);
     out += ",\"cache\":" + cacheJson(cache_) + "}";
     return out;
 }

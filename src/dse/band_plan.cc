@@ -459,6 +459,7 @@ BandPlanner::overlayEvaluate(const DesignSpace::Decoded &d,
     QoREstimator estimator(overlay_module.get(), nullptr, estimates_);
     estimator.estimateFunc(overlay_func);
     const auto &band_estimates = estimator.lastBandEstimates();
+    const auto &band_relevance = estimator.lastBandRelevance();
 
     std::vector<BandScheduleEntry> entries(n);
     std::vector<const std::vector<unsigned> *> ext_maps(n);
@@ -472,8 +473,10 @@ BandPlanner::overlayEvaluate(const DesignSpace::Decoded &d,
         auto it = band_estimates.find(current[b]);
         if (it == band_estimates.end())
             return out; // Function-tier hit skipped the band walk.
-        auto entry = buildBandScheduleEntry(current[b], it->second,
-                                            infos[b]->externals);
+        auto ri = band_relevance.find(current[b]);
+        auto entry = buildBandScheduleEntry(
+            current[b], it->second, infos[b]->externals,
+            ri != band_relevance.end() ? &ri->second : nullptr);
         if (!entry)
             return out;
         entry->origin = originOf(b);

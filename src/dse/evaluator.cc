@@ -67,15 +67,18 @@ CachingEvaluator::insertScheduleEntries(
     if (!DesignSpace::finalOwnershipMatches(partial))
         return;
     const auto &band_estimates = estimator.lastBandEstimates();
+    const auto &band_relevance = estimator.lastBandRelevance();
     for (size_t i = 0; i < final_bands.size(); ++i) {
         if (!partial.bandDigests[i])
             continue; // Masked band (e.g. contains a call).
         auto it = band_estimates.find(final_bands[i].front());
         if (it == band_estimates.end())
             continue; // Function-tier hit skipped the band walk.
+        auto ri = band_relevance.find(final_bands[i].front());
         auto entry = buildBandScheduleEntry(
             final_bands[i].front(), it->second,
-            partial.bandDigests[i]->externals);
+            partial.bandDigests[i]->externals,
+            ri != band_relevance.end() ? &ri->second : nullptr);
         if (entry) {
             entry->origin =
                 funcName(partial.func) + "#" + std::to_string(i);

@@ -1,13 +1,17 @@
 #include "estimate/estimate_cache.h"
 
+#include <charconv>
 #include <cstdint>
 #include <set>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "analysis/buffer_analysis.h"
 #include "analysis/memory_analysis.h"
 #include "dialect/ops.h"
 #include "estimate/coherence_audit.h"
+#include "support/utils.h"
 
 namespace scalehls {
 
@@ -88,7 +92,11 @@ struct Digest128
  *
  * The hlscpp.top_func attribute is skipped in both modes: it selects the
  * entry point of a module-level estimate but never changes a function's
- * (or band's) own estimate, and band roots never carry it anyway. */
+ * (or band's) own estimate, and band roots never carry it anyway.
+ *
+ * Attributes and types are printed into one reused buffer and value
+ * references into stack buffers, so a traversal builds no temporary
+ * strings; the bytes fed are exactly the toString() renderings. */
 class TreeSerializer
 {
   public:
@@ -107,8 +115,7 @@ class TreeSerializer
      * own subtree cannot determine (see AllocOwnershipInfo). */
     TreeSerializer(Digest128 &digest, Mode mode,
                    bool mask_partitions = false,
-                   const std::map<Value *, std::vector<bool>> *relevance =
-                       nullptr,
+                   const PartitionRelevance *relevance = nullptr,
                    const AllocOwnershipInfo *ownership = nullptr)
         : digest_(digest), mode_(mode),
           mask_partitions_(mask_partitions), relevance_(relevance),
@@ -138,7 +145,7 @@ class TreeSerializer
             if (digestExcludedAttrs().count(name))
                 continue; // Estimation-irrelevant; see class comment.
             digest_.feed(name);
-            digest_.feed(attr.toString());
+            feedPrinted(attr);
         }
         if (isCommutativeOp(op)) {
             // Canonicalize commutative noise: resolve the refs in operand
@@ -148,24 +155,19 @@ class TreeSerializer
             // these ops and CSE merges swapped duplicates (see
             // isCommutativeOp); symmetric bands — 3mm's identical stages
             // with operand-order drift — then share schedule entries.
-            std::string lhs = op->operand(0)
-                                  ? refOf(op->operand(0))
-                                  : std::string("null");
-            std::string rhs = op->operand(1)
-                                  ? refOf(op->operand(1))
-                                  : std::string("null");
-            if (rhs < lhs)
+            Ref lhs = refOf(op->operand(0));
+            Ref rhs = refOf(op->operand(1));
+            if (rhs.view() < lhs.view())
                 std::swap(lhs, rhs);
-            digest_.feed(lhs);
-            digest_.feed(rhs);
+            digest_.feed(lhs.view());
+            digest_.feed(rhs.view());
         } else {
             for (Value *operand : op->operands())
-                digest_.feed(operand ? refOf(operand)
-                                     : std::string("null"));
+                digest_.feed(refOf(operand).view());
         }
         for (Value *result : op->results()) {
             define(result);
-            digest_.feed(result->type().toString());
+            feedPrinted(result->type());
         }
         for (unsigned r = 0; r < op->numRegions(); ++r) {
             digest_.feed("region");
@@ -173,7 +175,7 @@ class TreeSerializer
                 digest_.feed("block");
                 for (Value *arg : block->arguments()) {
                     define(arg);
-                    digest_.feed(arg->type().toString());
+                    feedPrinted(arg->type());
                 }
                 for (const auto &nested : block->ops())
                     serialize(nested.get());
@@ -183,7 +185,54 @@ class TreeSerializer
     }
 
   private:
+    /** A value reference ("%<id>", "ext" or "null") in a stack buffer. */
+    struct Ref
+    {
+        char text[24];
+        size_t size = 0;
+
+        std::string_view view() const { return {text, size}; }
+    };
+
+    static Ref
+    literalRef(std::string_view text)
+    {
+        Ref ref;
+        ref.size = text.copy(ref.text, sizeof(ref.text));
+        return ref;
+    }
+
+    static Ref
+    idRef(unsigned id)
+    {
+        Ref ref;
+        ref.text[0] = '%';
+        auto [end, ec] =
+            std::to_chars(ref.text + 1, ref.text + sizeof(ref.text), id);
+        (void)ec;
+        ref.size = static_cast<size_t>(end - ref.text);
+        return ref;
+    }
+
     void define(const Value *value) { ids_.emplace(value, ids_.size()); }
+
+    /** Feed @p printable's rendering through the reused text buffer. */
+    template <typename Printable>
+    void
+    feedPrinted(const Printable &printable)
+    {
+        text_.clear();
+        printable.print(text_);
+        digest_.feed(text_);
+    }
+
+    void
+    feedInt(int64_t value)
+    {
+        text_.clear();
+        appendInt(text_, value);
+        digest_.feed(text_);
+    }
 
     /** Digest an external value's type. Partition-aware keying digests
      * memrefs decomposed — shape, element, memory space, then the
@@ -197,14 +246,14 @@ class TreeSerializer
     {
         Type t = value->type();
         if (!mask_partitions_ || !t.isMemRef()) {
-            digest_.feed(t.toString());
+            feedPrinted(t);
             return;
         }
         digest_.feed("memref");
         for (int64_t s : t.shape())
-            digest_.feed(std::to_string(s));
-        digest_.feed(t.elementType().toString());
-        digest_.feed(std::to_string(static_cast<int>(t.memorySpace())));
+            feedInt(s);
+        feedPrinted(t.elementType());
+        feedInt(static_cast<int>(t.memorySpace()));
         PartitionPlan plan = decodePartitionMap(t.layout(), t.shape());
         const std::vector<bool> *mask = nullptr;
         if (relevance_) {
@@ -215,9 +264,11 @@ class TreeSerializer
         }
         for (unsigned d = 0; d < t.rank(); ++d) {
             if (mask && (*mask)[d]) {
-                digest_.feed(
-                    std::to_string(static_cast<int>(plan.kinds[d])) +
-                    ":" + std::to_string(plan.factors[d]));
+                text_.clear();
+                appendInt(text_, static_cast<int>(plan.kinds[d]));
+                text_ += ':';
+                appendInt(text_, plan.factors[d]);
+                digest_.feed(text_);
             } else {
                 digest_.feed("*");
                 if (plan.kinds[d] != PartitionKind::None ||
@@ -227,28 +278,30 @@ class TreeSerializer
         }
     }
 
-    std::string
+    Ref
     refOf(Value *value)
     {
+        if (!value)
+            return literalRef("null");
         auto it = ids_.find(value);
         if (it != ids_.end())
-            return "%" + std::to_string(it->second);
+            return idRef(it->second);
         if (mode_ == Mode::Function)
-            return "ext";
+            return literalRef("ext");
         // Band mode, first reference to an external value: register it
         // and fold its type and definition summary into the digest.
         unsigned id = static_cast<unsigned>(ids_.size());
         ids_.emplace(value, id);
         externals_.push_back(value);
         digest_.feed("ext");
-        digest_.feed(std::to_string(id));
+        feedInt(id);
         feedExternalType(value);
         Operation *def = value->definingOp();
         if (!def) {
             digest_.feed("arg");
         } else if (def->is(ops::Constant)) {
             digest_.feed("const");
-            digest_.feed(def->attr(kValue).toString());
+            feedPrinted(def->attr(kValue));
         } else if (def->is(ops::Alloc)) {
             digest_.feed("alloc");
             if (ownership_)
@@ -256,18 +309,19 @@ class TreeSerializer
         } else {
             cacheable_ = false;
         }
-        return "%" + std::to_string(id);
+        return idRef(id);
     }
 
     Digest128 &digest_;
     Mode mode_;
     bool mask_partitions_ = false;
-    const std::map<Value *, std::vector<bool>> *relevance_ = nullptr;
+    const PartitionRelevance *relevance_ = nullptr;
     const AllocOwnershipInfo *ownership_ = nullptr;
     bool cacheable_ = true;
     bool partition_masked_ = false;
-    std::map<const Value *, unsigned> ids_;
+    std::unordered_map<const Value *, unsigned> ids_;
     std::vector<Value *> externals_;
+    std::string text_;
 };
 
 /** Digest @p func, recursing into callees through @p out. @p on_path
@@ -328,15 +382,14 @@ bandEstimateDigestInfo(Operation *band_root, bool mask_partitions,
     // must never alias when several feed one cache.
     digest.feed(mask_partitions ? "band-masked" : "band");
     digest.feed(ownership ? "owned" : "plain");
-    std::map<Value *, std::vector<bool>> relevance;
+    BandDigestInfo info;
     if (mask_partitions)
-        relevance = partitionRelevantDims(band_root);
+        info.relevance = partitionRelevantDims(band_root);
     TreeSerializer serializer(digest, TreeSerializer::Mode::Band,
-                              mask_partitions, &relevance, ownership);
+                              mask_partitions, &info.relevance, ownership);
     serializer.serialize(band_root);
     if (!serializer.cacheable())
         return std::nullopt;
-    BandDigestInfo info;
     info.digest = digest.hex();
     info.partitionMasked = serializer.partitionMasked();
     info.externals = serializer.externals();

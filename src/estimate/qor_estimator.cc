@@ -4,6 +4,7 @@
 #include <map>
 #include <numeric>
 #include <set>
+#include <unordered_set>
 
 #include "analysis/loop_analysis.h"
 #include "estimate/estimate_cache.h"
@@ -39,80 +40,99 @@ class UnionFind
     std::vector<size_t> parent_;
 };
 
-/** Could accesses @p a and @p b hit the same physical bank? Per-dimension
- * reasoning over the partition plan; any unknown subscript difference is a
- * potential conflict. */
-bool
-possiblySameBank(const MemAccess &a, const MemAccess &b,
-                 const PartitionPlan &plan,
-                 const std::vector<int64_t> &shape)
-{
-    if (!a.normalized || !b.normalized)
-        return true;
-    unsigned rank = shape.size();
-    if (a.indices.size() != rank || b.indices.size() != rank)
-        return true;
-    for (unsigned d = 0; d < rank; ++d) {
-        auto diff = constantDiff(a.indices[d], b.indices[d]);
-        if (!diff)
-            continue; // Unknown relation along this dim: no separation,
-                      // but another dim may still prove distinct banks.
-        int64_t c = *diff;
-        switch (plan.kinds[d]) {
-          case PartitionKind::None:
-            break; // One bank along this dim; can't separate.
-          case PartitionKind::Cyclic:
-            if (euclidMod(c, plan.factors[d]) != 0)
-                return false; // Provably different banks.
-            break;
-          case PartitionKind::Block: {
-            int64_t block = ceilDiv(shape[d], plan.factors[d]);
-            if (c != 0 && std::abs(c) >= block)
-                return false;
-            break;
-          }
-        }
-    }
-    return true;
-}
-
 /** Deduplicate reads with identical subscripts (they may share a port,
- * paper Section V-E1). */
-std::vector<MemAccess>
-dedupeReads(const std::vector<MemAccess> &group)
+ * paper Section V-E1). All-linear subscripts compare on their
+ * (class, constant) keys, the rest on their canonical string. */
+std::vector<const MemAccess *>
+dedupeReads(const std::vector<const MemAccess *> &group)
 {
-    std::vector<MemAccess> out;
-    std::set<std::string> seen;
-    for (const MemAccess &access : group) {
-        if (!access.normalized) {
+    std::vector<const MemAccess *> out;
+    std::unordered_set<LinearSubscriptKey, LinearSubscriptKeyHash> linear;
+    std::set<std::string> other;
+    for (const MemAccess *access : group) {
+        if (!access->normalized) {
             out.push_back(access);
             continue;
         }
-        if (seen.insert(subscriptKey(access)).second)
+        bool fresh = false;
+        if (auto key = linearSubscriptKey(*access))
+            fresh = linear.insert(std::move(*key)).second;
+        else
+            fresh = other.insert(subscriptKey(*access)).second;
+        if (fresh)
             out.push_back(access);
     }
     return out;
 }
 
+/** The port pressure of one access group: accesses that could hit the
+ * same physical bank are joined (union-find), and the largest component
+ * needs ceil(size / ports) cycles. Two accesses provably hit different
+ * banks when along some dim their subscripts share a linear class and
+ * the constant offset c separates banks under the plan: cyclic when
+ * c mod factor != 0, block when |c| >= the block size. Any unknown
+ * relation is a potential conflict. */
 int64_t
-groupPressure(const std::vector<MemAccess> &accesses,
+groupPressure(const std::vector<const MemAccess *> &accesses,
               const PartitionPlan &plan,
               const std::vector<int64_t> &shape, int ports)
 {
     if (accesses.empty() || ports <= 0)
         return 0;
-    UnionFind uf(accesses.size());
-    for (size_t i = 0; i < accesses.size(); ++i)
-        for (size_t j = i + 1; j < accesses.size(); ++j)
-            if (possiblySameBank(accesses[i], accesses[j], plan, shape))
+    size_t n = accesses.size();
+    unsigned rank = shape.size();
+
+    // A non-normalized or rank-mismatched access may share a bank with
+    // every access, and a plan with no partitioned dim separates nothing:
+    // either way all accesses form one component.
+    bool one_component = std::all_of(
+        plan.kinds.begin(), plan.kinds.end(),
+        [](PartitionKind kind) { return kind == PartitionKind::None; });
+    for (const MemAccess *access : accesses)
+        one_component = one_component || !access->normalized ||
+                        access->indices.size() != rank;
+    if (one_component)
+        return ceilDiv(static_cast<int64_t>(n), ports);
+
+    std::vector<int64_t> block(rank, 0);
+    for (unsigned d = 0; d < rank; ++d)
+        if (plan.kinds[d] == PartitionKind::Block)
+            block[d] = ceilDiv(shape[d], plan.factors[d]);
+    auto separated = [&](const MemAccess &a, const MemAccess &b) {
+        for (unsigned d = 0; d < rank; ++d) {
+            int32_t cls = a.linearClass[d];
+            if (cls == kNonLinearSubscript || cls != b.linearClass[d])
+                continue; // Unknown relation along this dim.
+            int64_t c = a.constant(d) - b.constant(d);
+            switch (plan.kinds[d]) {
+              case PartitionKind::None:
+                break; // One bank along this dim; can't separate.
+              case PartitionKind::Cyclic:
+                if (euclidMod(c, plan.factors[d]) != 0)
+                    return true;
+                break;
+              case PartitionKind::Block:
+                if (c != 0 && std::abs(c) >= block[d])
+                    return true;
+                break;
+            }
+        }
+        return false;
+    };
+
+    // Pairs already joined need no test: skipping them leaves the
+    // components (and so the pressure) exactly as the full pair scan.
+    UnionFind uf(n);
+    for (size_t i = 0; i < n; ++i)
+        for (size_t j = i + 1; j < n; ++j)
+            if (uf.find(i) != uf.find(j) &&
+                !separated(*accesses[i], *accesses[j]))
                 uf.merge(i, j);
-    std::map<size_t, int64_t> sizes;
-    for (size_t i = 0; i < accesses.size(); ++i)
-        ++sizes[uf.find(i)];
-    int64_t pressure = 0;
-    for (const auto &[root, count] : sizes)
-        pressure = std::max(pressure, ceilDiv(count, ports));
-    return pressure;
+    std::vector<int64_t> sizes(n, 0);
+    int64_t largest = 0;
+    for (size_t i = 0; i < n; ++i)
+        largest = std::max(largest, ++sizes[uf.find(i)]);
+    return ceilDiv(largest, ports);
 }
 
 } // namespace
@@ -129,10 +149,10 @@ memoryPortII(Operation *scope, const std::vector<Value *> &band_ivs)
         PartitionPlan plan = decodePartitionMap(t.layout(), t.shape());
         MemKind kind = t.memorySpace();
 
-        std::vector<MemAccess> reads;
-        std::vector<MemAccess> writes;
+        std::vector<const MemAccess *> reads;
+        std::vector<const MemAccess *> writes;
         for (const MemAccess &access : group)
-            (access.isWrite ? writes : reads).push_back(access);
+            (access.isWrite ? writes : reads).push_back(&access);
         reads = dedupeReads(reads);
 
         if (kind == MemKind::BRAM_S2P || kind == MemKind::DRAM) {
@@ -143,7 +163,7 @@ memoryPortII(Operation *scope, const std::vector<Value *> &band_ivs)
                                             memWritePorts(kind)));
         } else {
             // Shared ports (1P: one, T2P: two).
-            std::vector<MemAccess> all = reads;
+            std::vector<const MemAccess *> all = reads;
             all.insert(all.end(), writes.begin(), writes.end());
             int ports = kind == MemKind::BRAM_T2P ? 2 : 1;
             ii = std::max(ii, groupPressure(all, plan, t.shape(), ports));
@@ -429,6 +449,7 @@ QoREstimator::estimateBand(Operation *band_root, EstimateContext &ctx)
     if (shared_) {
         if (auto digest = bandEstimateDigestInfo(
                 band_root, /*mask_partitions=*/true)) {
+            ctx.relevance[band_root] = std::move(digest->relevance);
             key = digest->digest;
             if (auto cached =
                     shared_->lookupBand(key, digest->partitionMasked))
@@ -708,6 +729,7 @@ QoREstimator::estimateFunc(Operation *func)
     // Expose this run's band estimates (empty when the function tier hit
     // — the walk that fills them was skipped entirely).
     last_bands_ = std::move(ctx.bands);
+    last_relevance_ = std::move(ctx.relevance);
 
     cache_.emplace(func, result);
     // Adopt the callee results completed along the way.
@@ -922,7 +944,8 @@ composeScheduledQoR(const ScheduledFunction &function)
 
 std::optional<BandScheduleEntry>
 buildBandScheduleEntry(Operation *band_root, const BandEstimate &estimate,
-                       const std::vector<Value *> &externals)
+                       const std::vector<Value *> &externals,
+                       const PartitionRelevance *relevance)
 {
     BandScheduleEntry entry;
     entry.estimate = estimate;
@@ -946,7 +969,11 @@ buildBandScheduleEntry(Operation *band_root, const BandEstimate &estimate,
     for (auto &[memref, group] : groupByMemRef(band_accesses))
         contribution[memref] = computePartitionPlan(memref, group);
 
-    auto relevance = partitionRelevantDims(band_root);
+    PartitionRelevance computed;
+    if (!relevance) {
+        computed = partitionRelevantDims(band_root);
+        relevance = &computed;
+    }
 
     std::set<Value *> memrefs;
     for (const auto &[memref, flags] : touched)
@@ -970,8 +997,8 @@ buildBandScheduleEntry(Operation *band_root, const BandEstimate &estimate,
             info.read = it->second.first;
             info.write = it->second.second;
         }
-        if (auto it = relevance.find(memref);
-            it != relevance.end() && it->second.size() == rank)
+        if (auto it = relevance->find(memref);
+            it != relevance->end() && it->second.size() == rank)
             info.relevant = it->second;
         else
             info.relevant.assign(rank, false);

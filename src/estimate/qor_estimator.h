@@ -80,6 +80,9 @@ struct BandDigestInfo
      * one band instance resolves to the corresponding value of any
      * other. */
     std::vector<Value *> externals;
+    /** The band's partitionRelevantDims, computed for the masked digest
+     * (empty when @p mask_partitions was clear). */
+    PartitionRelevance relevance;
 };
 
 /** Canonical estimate digest of one top-level loop band: the band's op
@@ -336,6 +339,16 @@ class QoREstimator
         return last_bands_;
     }
 
+    /** The partition relevance of the same run's bands, as their masked
+     * band-tier digests computed it (only bands keyed against the
+     * shared cache have an entry); buildBandScheduleEntry reuses it
+     * instead of running the analysis again. */
+    const std::map<Operation *, PartitionRelevance> &
+    lastBandRelevance() const
+    {
+        return last_relevance_;
+    }
+
     /** Drop memoized function estimates and digests (the shared
      * EstimateCache itself is content-keyed and never needs
      * invalidation, but digests must be recomputed so rewritten
@@ -362,6 +375,8 @@ class QoREstimator
          * the resource walk of one function share a single band
          * computation (and a single band-cache lookup). */
         std::map<Operation *, BandEstimate> bands;
+        /** The partition relevance each band's digest computed. */
+        std::map<Operation *, PartitionRelevance> relevance;
     };
 
     struct LoopEstimate
@@ -433,6 +448,7 @@ class QoREstimator
     EstimateDigests digests_;
     std::map<Operation *, QoRResult> cache_;
     std::map<Operation *, BandEstimate> last_bands_;
+    std::map<Operation *, PartitionRelevance> last_relevance_;
 };
 
 /** The function-level half of the resource model, shared between
@@ -480,12 +496,15 @@ std::optional<QoRResult> composeScheduledQoR(
 
 /** Build the schedule entry of @p band_root (a top-level band of a fully
  * materialized, fast-path-eligible function) from its final estimate and
- * the phase-1 external-value table @p externals. Returns nullopt when
- * the band's accesses cannot be mapped back onto the phase-1 externals
- * (the entry would not be replayable). */
+ * the phase-1 external-value table @p externals. @p relevance, when
+ * given, is the band's partitionRelevantDims as already computed (see
+ * QoREstimator::lastBandRelevance); otherwise it is computed here.
+ * Returns nullopt when the band's accesses cannot be mapped back onto
+ * the phase-1 externals (the entry would not be replayable). */
 std::optional<BandScheduleEntry> buildBandScheduleEntry(
     Operation *band_root, const BandEstimate &estimate,
-    const std::vector<Value *> &externals);
+    const std::vector<Value *> &externals,
+    const PartitionRelevance *relevance = nullptr);
 
 /** Memory port pressure (min II imposed by bank conflicts) of the accesses
  * inside @p scope, normalized over @p band_ivs. Shared helper for the

@@ -1,8 +1,6 @@
 #include "ir/affine_expr.h"
 
 #include <cassert>
-#include <map>
-#include <sstream>
 
 #include "support/utils.h"
 
@@ -32,6 +30,27 @@ mergeCoeffs(const std::vector<std::pair<unsigned, int64_t>> &a,
         }
     }
     return out;
+}
+
+/** One step of the node hashes: a boost-style combine followed by the
+ * murmur3 finalizer, so nearby inputs spread over all 64 bits. */
+uint64_t
+hashMix(uint64_t h, uint64_t v)
+{
+    uint64_t x = h ^ (v + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2));
+    x ^= x >> 33;
+    x *= 0xff51afd7ed558ccdull;
+    x ^= x >> 33;
+    return x;
+}
+
+uint64_t
+coeffsHash(const std::vector<std::pair<unsigned, int64_t>> &coeffs)
+{
+    uint64_t h = 0x84222325cbf29ce4ull;
+    for (const auto &[pos, coeff] : coeffs)
+        h = hashMix(hashMix(h, pos), static_cast<uint64_t>(coeff));
+    return h;
 }
 
 /** Compute the node's linear form from its children's already-computed
@@ -99,7 +118,14 @@ makeNode(AffineExprKind kind, int64_t value, AffineExpr lhs, AffineExpr rhs)
     node->value = value;
     node->lhs = std::move(lhs);
     node->rhs = std::move(rhs);
+    uint64_t h = hashMix(static_cast<uint64_t>(kind) + 1,
+                         static_cast<uint64_t>(value));
+    if (node->lhs)
+        h = hashMix(hashMix(h, node->lhs->hash), node->rhs->hash);
+    node->hash = h;
     computeLinearForm(*node);
+    if (node->linValid)
+        node->linHash = coeffsHash(node->linCoeffs);
     return AffineExpr(std::move(node));
 }
 
@@ -152,7 +178,7 @@ AffineExpr::equals(const AffineExpr &other) const
         return true;
     if (!node_ || !other.node_)
         return false;
-    if (kind() != other.kind())
+    if (node_->hash != other.node_->hash || kind() != other.kind())
         return false;
     switch (kind()) {
       case AffineExprKind::Constant:
@@ -162,6 +188,12 @@ AffineExpr::equals(const AffineExpr &other) const
       default:
         return lhs().equals(other.lhs()) && rhs().equals(other.rhs());
     }
+}
+
+uint64_t
+AffineExpr::hash() const
+{
+    return node().hash;
 }
 
 int64_t
@@ -263,77 +295,95 @@ AffineExpr::maxDimPosition() const
     }
 }
 
-bool
-AffineExpr::linearForm(std::vector<std::pair<unsigned, int64_t>> &coeffs,
-                       int64_t &constant) const
+LinearFormView
+AffineExpr::linearForm() const
 {
     const AffineExprNode &n = node();
     if (!n.linValid)
-        return false;
-    coeffs = n.linCoeffs;
-    constant = n.linConst;
-    return true;
+        return {};
+    return {&n.linCoeffs, n.linConst};
 }
 
 std::optional<std::vector<int64_t>>
 AffineExpr::linearCoefficients(unsigned num_dims) const
 {
-    std::vector<std::pair<unsigned, int64_t>> sparse;
-    int64_t constant = 0;
-    if (!linearForm(sparse, constant))
+    LinearFormView form = linearForm();
+    if (!form)
         return std::nullopt;
     std::vector<int64_t> coeffs(num_dims + 1, 0);
-    for (const auto &[pos, coeff] : sparse) {
+    for (const auto &[pos, coeff] : *form.coeffs) {
         if (pos >= num_dims)
             return std::nullopt;
         coeffs[pos] = coeff;
     }
-    coeffs.back() = constant;
+    coeffs.back() = form.constant;
     return coeffs;
+}
+
+void
+AffineExpr::print(std::string &out) const
+{
+    auto binary = [&](const char *op) {
+        out += '(';
+        lhs().print(out);
+        out += ") ";
+        out += op;
+        out += ' ';
+        rhs().print(out);
+    };
+    switch (kind()) {
+      case AffineExprKind::Constant:
+        appendInt(out, constantValue());
+        break;
+      case AffineExprKind::DimId:
+        out += 'd';
+        appendInt(out, position());
+        break;
+      case AffineExprKind::SymbolId:
+        out += 's';
+        appendInt(out, position());
+        break;
+      case AffineExprKind::Add:
+        lhs().print(out);
+        out += " + ";
+        rhs().print(out);
+        break;
+      case AffineExprKind::Mul:
+        out += '(';
+        lhs().print(out);
+        out += ") * (";
+        rhs().print(out);
+        out += ')';
+        break;
+      case AffineExprKind::Mod:
+        binary("mod");
+        break;
+      case AffineExprKind::FloorDiv:
+        binary("floordiv");
+        break;
+      case AffineExprKind::CeilDiv:
+        binary("ceildiv");
+        break;
+    }
 }
 
 std::string
 AffineExpr::toString() const
 {
-    std::ostringstream os;
-    switch (kind()) {
-      case AffineExprKind::Constant:
-        os << constantValue();
-        break;
-      case AffineExprKind::DimId:
-        os << "d" << position();
-        break;
-      case AffineExprKind::SymbolId:
-        os << "s" << position();
-        break;
-      case AffineExprKind::Add:
-        os << lhs().toString() << " + " << rhs().toString();
-        break;
-      case AffineExprKind::Mul:
-        os << "(" << lhs().toString() << ") * (" << rhs().toString() << ")";
-        break;
-      case AffineExprKind::Mod:
-        os << "(" << lhs().toString() << ") mod " << rhs().toString();
-        break;
-      case AffineExprKind::FloorDiv:
-        os << "(" << lhs().toString() << ") floordiv " << rhs().toString();
-        break;
-      case AffineExprKind::CeilDiv:
-        os << "(" << lhs().toString() << ") ceildiv " << rhs().toString();
-        break;
-    }
-    return os.str();
+    std::string out;
+    print(out);
+    return out;
 }
 
 std::optional<int64_t>
 constantDiff(const AffineExpr &a, const AffineExpr &b)
 {
-    std::vector<std::pair<unsigned, int64_t>> ca, cb;
-    int64_t const_a = 0, const_b = 0;
-    if (a.linearForm(ca, const_a) && b.linearForm(cb, const_b)) {
-        if (ca != cb)
+    const AffineExprNode &na = a.node();
+    const AffineExprNode &nb = b.node();
+    if (na.linValid && nb.linValid) {
+        if (na.linHash != nb.linHash || na.linCoeffs != nb.linCoeffs)
             return std::nullopt;
-        return const_a - const_b;
+        return na.linConst - nb.linConst;
     }
     if (a.equals(b))
         return 0;

@@ -38,6 +38,17 @@ enum class AffineExprKind
 
 class AffineExprNode;
 
+/** A linear form c + sum(coeff * d_pos) read in place: @p coeffs points
+ * at the node's sparse (dim, coefficient) pairs, sorted by dim with no
+ * zero coefficients; null when the expression is not linear. */
+struct LinearFormView
+{
+    const std::vector<std::pair<unsigned, int64_t>> *coeffs = nullptr;
+    int64_t constant = 0;
+
+    explicit operator bool() const { return coeffs != nullptr; }
+};
+
 /** Shared-immutable handle to an affine expression node. A default
  * constructed AffineExpr is null and may be tested with explicit bool. */
 class AffineExpr
@@ -66,8 +77,12 @@ class AffineExpr
     /** True if this is the constant @p v. */
     bool isConstantEqual(int64_t v) const;
 
-    /** Structural equality. */
+    /** Structural equality. Rejects on a structural-hash mismatch in
+     * O(1); equal hashes fall back to a tree compare. */
     bool equals(const AffineExpr &other) const;
+
+    /** 64-bit structural hash: equal trees hash equally. */
+    uint64_t hash() const;
 
     /** Evaluate with concrete dim/symbol values. */
     int64_t evaluate(const std::vector<int64_t> &dims,
@@ -88,11 +103,10 @@ class AffineExpr
     /** Largest dim position used, or -1 if none. */
     int maxDimPosition() const;
 
-    /** The memoized linear form: sparse (dim, coefficient) pairs plus the
-     * constant term; nullptr-like (false) when the expression is not
-     * linear (mod/div/symbols). */
-    bool linearForm(std::vector<std::pair<unsigned, int64_t>> &coeffs,
-                    int64_t &constant) const;
+    /** The memoized linear form, read in place from the node: false
+     * (null coeffs) when the expression is not linear (mod/div/symbols).
+     * The view lives as long as any handle to the node. */
+    LinearFormView linearForm() const;
 
     /** If the expression is a pure linear form
      * c0 + sum_i coeff_i * d_i (no mod/div, no symbols), return the
@@ -101,7 +115,11 @@ class AffineExpr
     std::optional<std::vector<int64_t>> linearCoefficients(
         unsigned num_dims) const;
 
-    /** Render with dim names d0..dn / symbol names s0..sn. */
+    /** Append the rendering (dim names d0..dn, symbol names s0..sn) to
+     * @p out. */
+    void print(std::string &out) const;
+
+    /** The rendering print() appends, as a new string. */
     std::string toString() const;
 
   private:
@@ -109,22 +127,26 @@ class AffineExpr
 };
 
 /** Immutable affine expression tree node. Use the factory functions below.
- * The linear form (coefficient per dim + constant) is computed eagerly at
- * construction from the children's already-computed forms; the analyses
- * compare subscripts pairwise, so this cache turns O(n^2) tree walks into
- * O(n). Eager computation (rather than a lazy mutable memo) keeps nodes
- * truly immutable: expression handles are shared across concurrently
- * evaluated module clones by the parallel DSE. */
+ * The structural hash and the linear form (coefficient per dim +
+ * constant, with a hash of the coefficients) are computed eagerly at
+ * construction from the children's already-computed values, so equality
+ * rejects in O(1) and the access analyses bucket subscripts by their
+ * linear part without walking trees. Eager computation (rather than a
+ * lazy mutable memo) keeps nodes truly immutable: expression handles are
+ * shared across concurrently evaluated module clones by the parallel
+ * DSE. */
 class AffineExprNode
 {
   public:
     AffineExprKind kind;
     int64_t value = 0;    ///< Constant value or dim/symbol position.
     AffineExpr lhs, rhs;  ///< Children for binary kinds.
+    uint64_t hash = 0;    ///< Structural hash (AffineExpr::hash()).
 
     bool linValid = false;
     std::vector<std::pair<unsigned, int64_t>> linCoeffs;
     int64_t linConst = 0;
+    uint64_t linHash = 0; ///< Hash of linCoeffs (valid when linValid).
 };
 
 /** @name Factories (with local simplification) */

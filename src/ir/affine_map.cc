@@ -1,7 +1,8 @@
 #include "ir/affine_map.h"
 
 #include <cassert>
-#include <sstream>
+
+#include "support/utils.h"
 
 namespace scalehls {
 
@@ -94,25 +95,38 @@ AffineMap::replaceDims(const std::vector<AffineExpr> &dim_repls,
     return AffineMap(new_num_dims, numSymbols_, std::move(results));
 }
 
+void
+AffineMap::print(std::string &out) const
+{
+    out += '(';
+    for (unsigned i = 0; i < numDims_; ++i) {
+        out += i ? ", d" : "d";
+        appendInt(out, i);
+    }
+    out += ')';
+    if (numSymbols_) {
+        out += '[';
+        for (unsigned i = 0; i < numSymbols_; ++i) {
+            out += i ? ", s" : "s";
+            appendInt(out, i);
+        }
+        out += ']';
+    }
+    out += " -> (";
+    for (unsigned i = 0; i < numResults(); ++i) {
+        if (i)
+            out += ", ";
+        results_[i].print(out);
+    }
+    out += ')';
+}
+
 std::string
 AffineMap::toString() const
 {
-    std::ostringstream os;
-    os << "(";
-    for (unsigned i = 0; i < numDims_; ++i)
-        os << (i ? ", " : "") << "d" << i;
-    os << ")";
-    if (numSymbols_) {
-        os << "[";
-        for (unsigned i = 0; i < numSymbols_; ++i)
-            os << (i ? ", " : "") << "s" << i;
-        os << "]";
-    }
-    os << " -> (";
-    for (unsigned i = 0; i < numResults(); ++i)
-        os << (i ? ", " : "") << results_[i].toString();
-    os << ")";
-    return os.str();
+    std::string out;
+    print(out);
+    return out;
 }
 
 } // namespace scalehls

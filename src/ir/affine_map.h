@@ -60,6 +60,10 @@ class AffineMap
     AffineMap replaceDims(const std::vector<AffineExpr> &dim_repls,
                           unsigned new_num_dims) const;
 
+    /** Append the rendering "(d0, ..)[s0, ..] -> (results)" to @p out. */
+    void print(std::string &out) const;
+
+    /** The rendering print() appends, as a new string. */
     std::string toString() const;
 
   private:

@@ -114,6 +114,11 @@ class Attribute
         return as<LoopDirective>();
     }
 
+    /** Append the rendering (e.g. "affine_map<(d0) -> (d0)>") to
+     * @p out. */
+    void print(std::string &out) const;
+
+    /** The rendering print() appends, as a new string. */
     std::string toString() const;
 
   private:

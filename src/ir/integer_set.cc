@@ -1,6 +1,6 @@
 #include "ir/integer_set.h"
 
-#include <sstream>
+#include "support/utils.h"
 
 namespace scalehls {
 
@@ -35,20 +35,30 @@ IntegerSet::equals(const IntegerSet &other) const
     return true;
 }
 
+void
+IntegerSet::print(std::string &out) const
+{
+    out += '(';
+    for (unsigned i = 0; i < numDims_; ++i) {
+        out += i ? ", d" : "d";
+        appendInt(out, i);
+    }
+    out += ") : (";
+    for (unsigned i = 0; i < numConstraints(); ++i) {
+        if (i)
+            out += ", ";
+        constraints_[i].print(out);
+        out += eqFlags_[i] ? " == 0" : " >= 0";
+    }
+    out += ')';
+}
+
 std::string
 IntegerSet::toString() const
 {
-    std::ostringstream os;
-    os << "(";
-    for (unsigned i = 0; i < numDims_; ++i)
-        os << (i ? ", " : "") << "d" << i;
-    os << ") : (";
-    for (unsigned i = 0; i < numConstraints(); ++i) {
-        os << (i ? ", " : "") << constraints_[i].toString()
-           << (eqFlags_[i] ? " == 0" : " >= 0");
-    }
-    os << ")";
-    return os.str();
+    std::string out;
+    print(out);
+    return out;
 }
 
 } // namespace scalehls

@@ -48,6 +48,10 @@ class IntegerSet
 
     bool equals(const IntegerSet &other) const;
 
+    /** Append the rendering "(d0, ..) : (c >= 0, ..)" to @p out. */
+    void print(std::string &out) const;
+
+    /** The rendering print() appends, as a new string. */
     std::string toString() const;
 
   private:

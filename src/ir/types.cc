@@ -218,46 +218,57 @@ Type::equals(const Type &other) const
     return false;
 }
 
+void
+Type::print(std::string &out) const
+{
+    if (!impl_) {
+        out += "<<null>>";
+        return;
+    }
+    switch (kind()) {
+      case TypeKind::None:
+        out += "none";
+        break;
+      case TypeKind::Index:
+        out += "index";
+        break;
+      case TypeKind::Integer:
+        out += 'i';
+        appendInt(out, impl_->width);
+        break;
+      case TypeKind::Float:
+        out += 'f';
+        appendInt(out, impl_->width);
+        break;
+      case TypeKind::MemRef:
+      case TypeKind::Tensor:
+        out += kind() == TypeKind::MemRef ? "memref<" : "tensor<";
+        for (int64_t d : impl_->shape) {
+            appendInt(out, d);
+            out += 'x';
+        }
+        elementType().print(out);
+        if (kind() == TypeKind::MemRef) {
+            if (!impl_->layout.empty()) {
+                out += ", ";
+                impl_->layout.print(out);
+            }
+            if (impl_->space != MemKind::DRAM) {
+                out += ", ";
+                appendInt(out, static_cast<int>(impl_->space));
+            }
+        }
+        out += '>';
+        break;
+    }
+}
+
 std::string
 Type::toString() const
 {
-    if (!impl_)
-        return "<<null>>";
-    std::ostringstream os;
-    switch (kind()) {
-      case TypeKind::None:
-        os << "none";
-        break;
-      case TypeKind::Index:
-        os << "index";
-        break;
-      case TypeKind::Integer:
-        os << "i" << impl_->width;
-        break;
-      case TypeKind::Float:
-        os << "f" << impl_->width;
-        break;
-      case TypeKind::MemRef: {
-        os << "memref<";
-        for (int64_t d : impl_->shape)
-            os << d << "x";
-        os << elementType().toString();
-        if (!impl_->layout.empty())
-            os << ", " << impl_->layout.toString();
-        if (impl_->space != MemKind::DRAM)
-            os << ", " << static_cast<int>(impl_->space);
-        os << ">";
-        break;
-      }
-      case TypeKind::Tensor: {
-        os << "tensor<";
-        for (int64_t d : impl_->shape)
-            os << d << "x";
-        os << elementType().toString() << ">";
-        break;
-      }
-    }
-    return os.str();
+    std::string out;
+    print(out);
+    return out;
 }
 
 } // namespace scalehls

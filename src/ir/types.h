@@ -106,6 +106,11 @@ class Type
     bool operator==(const Type &other) const { return equals(other); }
     bool operator!=(const Type &other) const { return !equals(other); }
 
+    /** Append the rendering (e.g. "memref<4x8xf32, layout, 1>") to
+     * @p out. */
+    void print(std::string &out) const;
+
+    /** The rendering print() appends, as a new string. */
     std::string toString() const;
 
   private:

@@ -7,6 +7,7 @@
 #ifndef SCALEHLS_SUPPORT_UTILS_H
 #define SCALEHLS_SUPPORT_UTILS_H
 
+#include <charconv>
 #include <cstdint>
 #include <sstream>
 #include <stdexcept>
@@ -65,6 +66,17 @@ constexpr bool
 isPow2(int64_t n)
 {
     return n > 0 && (n & (n - 1)) == 0;
+}
+
+/** Append the decimal form of @p v to @p out (the same digits as
+ * `std::ostream << v`, without a stream). */
+inline void
+appendInt(std::string &out, int64_t v)
+{
+    char buf[24];
+    auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), v);
+    (void)ec;
+    out.append(buf, end);
 }
 
 /** Join the elements of a container with a separator using operator<<. */

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <unordered_map>
 
 #include "analysis/memory_analysis.h"
 #include "transform/pass.h"
@@ -23,39 +24,45 @@ struct DepPair
     std::vector<bool> absent;
 };
 
+/** One pair per store that shares its memref and (structurally equal)
+ * subscripts with another access: the pair depends on the store's
+ * subscripts only, and permutationScore takes the minimum over pairs,
+ * so further partners of one store add nothing. Accesses are bucketed
+ * by subscript hash instead of compared pairwise. */
 std::vector<DepPair>
 collectDepPairs(const std::vector<Operation *> &band)
 {
     std::vector<DepPair> pairs;
     auto ivs = bandIVs(band);
     auto accesses = collectAccesses(band.front(), ivs);
+    std::unordered_map<uint64_t, std::vector<const MemAccess *>> buckets;
+    for (const MemAccess &access : accesses)
+        if (access.normalized)
+            buckets[subscriptsHash(access)].push_back(&access);
+
     for (const MemAccess &store : accesses) {
         if (!store.isWrite || !store.normalized)
             continue;
-        for (const MemAccess &other : accesses) {
-            if (other.op == store.op || other.memref != store.memref)
-                continue;
-            if (!other.normalized)
-                continue;
-            if (other.indices.size() != store.indices.size())
-                continue;
-            bool equal = true;
-            for (unsigned i = 0; i < store.indices.size(); ++i)
-                equal &= store.indices[i].equals(other.indices[i]);
-            if (!equal)
-                continue;
-            DepPair pair;
-            pair.absent.assign(band.size(), true);
-            for (unsigned level = 0; level < band.size(); ++level)
-                for (const auto &expr : store.indices)
-                    if (expr.involvesDim(level))
-                        pair.absent[level] = false;
-            bool any_absent = false;
-            for (bool a : pair.absent)
-                any_absent |= a;
-            if (any_absent)
-                pairs.push_back(std::move(pair));
-        }
+        const auto &bucket = buckets[subscriptsHash(store)];
+        bool partnered = std::any_of(
+            bucket.begin(), bucket.end(), [&](const MemAccess *other) {
+                return other->op != store.op &&
+                       other->memref == store.memref &&
+                       sameSubscripts(*other, store);
+            });
+        if (!partnered)
+            continue;
+        DepPair pair;
+        pair.absent.assign(band.size(), true);
+        for (unsigned level = 0; level < band.size(); ++level)
+            for (const auto &expr : store.indices)
+                if (expr.involvesDim(level))
+                    pair.absent[level] = false;
+        bool any_absent = false;
+        for (bool a : pair.absent)
+            any_absent |= a;
+        if (any_absent)
+            pairs.push_back(std::move(pair));
     }
     return pairs;
 }

@@ -137,8 +137,10 @@ applyLoopPerfectization(Operation *outermost)
         for (unsigned i = 0; i + 1 < band.size(); ++i) {
             AffineForOp parent(band[i]);
             AffineForOp child(band[i + 1]);
-            // Guards require constant child bounds.
-            if (!child.hasConstantBounds())
+            // Guards require constant child bounds, and ops sunk into a
+            // zero-trip child would never run.
+            if (!child.hasConstantBounds() ||
+                *child.constantUpperBound() <= *child.constantLowerBound())
                 continue;
             if (sinkOps(parent, child, /*before=*/true))
                 progress = true;

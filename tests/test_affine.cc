@@ -94,6 +94,62 @@ TEST(AffineExpr, EqualityStructural)
     EXPECT_TRUE(d.equals(getAffineDimExpr(1) - getAffineDimExpr(0)));
 }
 
+TEST(AffineExpr, StructuralHashAndInPlaceLinearForm)
+{
+    AffineExpr d0 = getAffineDimExpr(0);
+    AffineExpr d1 = getAffineDimExpr(1);
+    AffineExpr a = d0 * 4 + d1 + 3;
+    AffineExpr b = d0 * 4 + d1 + 3; // Separate nodes, same structure.
+    EXPECT_EQ(a.hash(), b.hash());
+    EXPECT_TRUE(a.equals(b));
+    EXPECT_NE((d0 + 1).hash(), (d0 + 2).hash());
+    EXPECT_NE(affineMod(d0, 4).hash(), affineFloorDiv(d0, 4).hash());
+
+    // d0 + d1 and d1 + d0 are different trees with one linear part.
+    AffineExpr swapped = getAffineBinaryExpr(AffineExprKind::Add, d1, d0);
+    EXPECT_FALSE((d0 + d1).equals(swapped));
+    EXPECT_EQ(constantDiff(d0 + d1 + 5, swapped), 5);
+    EXPECT_FALSE(constantDiff(d0 * 2, d0));
+    EXPECT_EQ(constantDiff(affineMod(d0, 2), affineMod(d0, 2)), 0);
+    EXPECT_FALSE(constantDiff(affineMod(d0, 2), affineMod(d0, 3)));
+
+    // The view reads the node's own coefficients.
+    LinearFormView form = a.linearForm();
+    ASSERT_TRUE(form);
+    EXPECT_EQ(form.coeffs, &a->linCoeffs);
+    EXPECT_EQ(*form.coeffs,
+              (std::vector<std::pair<unsigned, int64_t>>{{0, 4}, {1, 1}}));
+    EXPECT_EQ(form.constant, 3);
+    EXPECT_FALSE(affineMod(d0, 2).linearForm());
+    EXPECT_FALSE((d0 + getAffineSymbolExpr(0)).linearForm());
+}
+
+TEST(AffineExpr, PrintAppendsTheRendering)
+{
+    AffineExpr d0 = getAffineDimExpr(0);
+    AffineExpr d1 = getAffineDimExpr(1);
+    AffineExpr s0 = getAffineSymbolExpr(0);
+    const std::pair<AffineExpr, const char *> cases[] = {
+        {d0 * 4 + d1 - 3, "(d0) * (4) + d1 + -3"},
+        {affineMod(d0 + s0, 8), "(d0 + s0) mod 8"},
+        {affineFloorDiv(d1, 2), "(d1) floordiv 2"},
+        {affineCeilDiv(d0 * d1, 3), "((d0) * (d1)) ceildiv 3"},
+        {getAffineConstantExpr(-9223372036854775807 - 1),
+         "-9223372036854775808"},
+    };
+    for (const auto &[expr, text] : cases) {
+        std::string out = "prefix|";
+        expr.print(out);
+        EXPECT_EQ(out, std::string("prefix|") + text);
+        EXPECT_EQ(expr.toString(), text);
+    }
+    AffineMap map(2, 1, {d0 + s0, affineMod(d1, 4)});
+    EXPECT_EQ(map.toString(), "(d0, d1)[s0] -> (d0 + s0, (d1) mod 4)");
+    IntegerSet set(2, {d0 - d1, d1 - 1}, {false, true});
+    EXPECT_EQ(set.toString(),
+              "(d0, d1) : (d0 + (d1) * (-1) >= 0, d1 + -1 == 0)");
+}
+
 TEST(AffineMap, IdentityAndConstant)
 {
     AffineMap id = AffineMap::identity(3);

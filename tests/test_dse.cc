@@ -434,6 +434,23 @@ TEST(DSEEngine, RunDSEProducesModule)
     EXPECT_TRUE(has_pipeline);
 }
 
+TEST(DSEEngine, ZeroTripTrmmDesignIsVerified)
+{
+    // trmm at n=1 once lost its alpha store to a perfectization into the
+    // zero-trip k loop: the re-materialized winner then disagreed with
+    // the explored QoR.
+    auto module = parseCToModule(polybenchSource("trmm", 1));
+    raiseScfToAffine(module.get());
+    DSEOptions options;
+    options.numInitialSamples = 4;
+    options.maxIterations = 4;
+    auto result = runDSE(module.get(), xc7z020(), {}, options);
+    ASSERT_TRUE(result);
+    EXPECT_TRUE(result->qorVerified);
+    EXPECT_TRUE(result->qor.feasible);
+    EXPECT_LT(result->qor.latency, kInfeasibleQoR);
+}
+
 TEST(DSEEngine, DeterministicAcrossThreadCounts)
 {
     // The Pareto frontier (and the full evaluated trajectory) of a

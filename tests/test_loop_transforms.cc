@@ -50,6 +50,29 @@ TEST(Perfectization, GesummvPreAndPostOps)
     EXPECT_GE(func->collect(ops::AffineIf).size(), 2u);
 }
 
+TEST(Perfectization, RefusesToSinkIntoAZeroTripLoop)
+{
+    // trmm at n=1: after remove-variable-bound the k loop runs from 1 to
+    // 1. Sinking `B[i][j] *= alpha` into it (under a guard) would drop
+    // the store, so the pass must leave the nest as it is.
+    auto module = affineModule(polybenchSource("trmm", 1));
+    Operation *func = getTopFunc(module.get());
+    auto band = getLoopBands(func)[0];
+    ASSERT_TRUE(applyRemoveVariableBound(band[0]));
+    band = getLoopNest(band[0]);
+    ASSERT_EQ(band.size(), 3u);
+    AffineForOp k_loop(band[2]);
+    ASSERT_EQ(k_loop.constantLowerBound(), 1);
+    ASSERT_EQ(k_loop.constantUpperBound(), 1);
+    EXPECT_FALSE(applyLoopPerfectization(band[0]));
+    // The alpha store still sits in the j loop's body, outside k.
+    int stores_in_j = 0;
+    for (auto &op : AffineForOp(band[1]).body()->ops())
+        stores_in_j += op->is(ops::AffineStore) ? 1 : 0;
+    EXPECT_EQ(stores_in_j, 1);
+    EXPECT_TRUE(verifyOk(module.get()));
+}
+
 TEST(RemoveVariableBound, SyrkTriangular)
 {
     auto module = affineModule(polybenchSource("syrk", 16));

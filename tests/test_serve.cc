@@ -15,6 +15,7 @@
 
 #include "api/explore_request.h"
 #include "api/serve.h"
+#include "dse/pareto.h"
 #include "model/dnn_dse.h"
 #include "support/json.h"
 #include "support/thread_pool.h"
@@ -428,6 +429,35 @@ TEST(ServeTest, BadKernelIndexAndSizeAreRejectedWithoutSideEffects)
     EXPECT_EQ(second, clean.handleLine(good_kernel));
     EXPECT_TRUE(boolAt(parsed(second), "ok"));
     EXPECT_EQ(session.completedRequests(), 2u);
+}
+
+TEST(ServeTest, FeasibleRepliesNeverCarryTheInfeasibleSentinel)
+{
+    // "feasible" is the answered QoR's own flag. trmm at 1 once answered
+    // the infeasible sentinel (a perfectization miscompile) under
+    // "feasible":true. (gemm at 2^31 still reaches the sentinel through
+    // a signed overflow, which UBSan builds reject, so it is not
+    // exercised here.)
+    ServeSession session(isolatedOptions());
+    const char *requests[] = {
+        "{\"id\":1,\"kind\":\"polybench\",\"kernel\":\"trmm\",\"size\":1,"
+        "\"samples\":4,\"iterations\":4}",
+        "{\"id\":2,\"kind\":\"polybench\",\"kernel\":\"trmm\",\"size\":2,"
+        "\"samples\":4,\"iterations\":4}",
+        "{\"id\":3,\"kind\":\"polybench\",\"kernel\":\"gemm\",\"size\":8,"
+        "\"samples\":4,\"iterations\":4}",
+    };
+    for (const char *request : requests) {
+        JsonValue reply = parsed(session.handleLine(request));
+        ASSERT_TRUE(boolAt(reply, "ok")) << request;
+        const JsonValue *qor = reply.get("qor");
+        if (boolAt(reply, "feasible")) {
+            ASSERT_NE(qor, nullptr) << request;
+            EXPECT_LT(intAt(*qor, "latency"), kInfeasibleQoR) << request;
+        }
+    }
+    JsonValue trmm = parsed(session.handleLine(requests[0]));
+    EXPECT_TRUE(boolAt(trmm, "feasible"));
 }
 
 } // namespace

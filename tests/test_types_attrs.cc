@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <climits>
+#include <sstream>
+
 #include "ir/attributes.h"
 #include "ir/types.h"
 
@@ -91,6 +94,48 @@ TEST(Attributes, Variants)
     Attribute null;
     EXPECT_TRUE(null.isNull());
     EXPECT_FALSE(static_cast<bool>(null));
+}
+
+TEST(Attributes, PrintMatchesStreamFormatting)
+{
+    // Digests hash these renderings, so they must stay the bytes a
+    // default-formatted std::ostream produced.
+    for (double v : {2.5, 0.1, 1e-7, 123456789.0, -0.0, 1.0 / 3, 1e300}) {
+        std::ostringstream os;
+        os << v;
+        EXPECT_EQ(Attribute(v).toString(), os.str());
+    }
+    for (int64_t v : {int64_t(0), int64_t(-1), INT64_MIN, INT64_MAX})
+        EXPECT_EQ(Attribute(v).toString(), std::to_string(v));
+    EXPECT_EQ(Attribute(true).toString(), "true");
+    EXPECT_EQ(Attribute("s").toString(), "\"s\"");
+    EXPECT_EQ(Attribute(std::vector<int64_t>{1, -2, 3}).toString(),
+              "[1, -2, 3]");
+    LoopDirective ld;
+    ld.pipeline = true;
+    ld.targetII = 3;
+    EXPECT_EQ(Attribute(ld).toString(),
+              "#hlscpp.loop_directive<pipeline=1, targetII=3, "
+              "dataflow=0, flatten=0>");
+    FuncDirective fd;
+    fd.dataflow = true;
+    EXPECT_EQ(Attribute(fd).toString(),
+              "#hlscpp.func_directive<dataflow=1, pipeline=0, targetII=1>");
+    AffineExpr d0 = getAffineDimExpr(0);
+    Type m = Type::memref({4, 8}, Type::f64(),
+                          AffineMap(2, 0,
+                                    {affineMod(d0, 2), getAffineConstantExpr(0),
+                                     affineFloorDiv(d0, 2),
+                                     getAffineDimExpr(1)}),
+                          MemKind::BRAM_S2P);
+    EXPECT_EQ(m.toString(), "memref<4x8xf64, (d0, d1) -> ((d0) mod 2, 0, "
+                            "(d0) floordiv 2, d1), 2>");
+    EXPECT_EQ(Attribute(m).toString(), m.toString());
+    EXPECT_EQ(Type::tensor({2, 3}, Type::integer(8)).toString(),
+              "tensor<2x3xi8>");
+    std::string out = "x";
+    Attribute(m).print(out);
+    EXPECT_EQ(out, "x" + m.toString());
 }
 
 TEST(Attributes, Directives)
