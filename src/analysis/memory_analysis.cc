@@ -92,14 +92,11 @@ assignSubscriptClasses(std::vector<MemAccess> &accesses)
 {
     // Classes by coefficient-vector hash, confirmed by comparing the
     // vectors in place (a hash collision must not merge classes).
-    std::unordered_map<uint64_t,
-                       std::vector<std::pair<const AffineExprNode *,
-                                             int32_t>>>
-        classes;
+    using Bucket = std::vector<std::pair<const AffineExprNode *, int32_t>>;
+    std::unordered_map<uint64_t, Bucket> classes;
     int32_t next = 0;
     for (MemAccess &access : accesses) {
-        access.linearClass.assign(access.indices.size(),
-                                  kNonLinearSubscript);
+        access.linearClass.assign(access.indices.size(), kNonLinearSubscript);
         for (size_t d = 0; d < access.indices.size(); ++d) {
             const AffineExprNode &node = access.indices[d].node();
             if (!node.linValid)
@@ -208,10 +205,10 @@ uniqueAccesses(const std::vector<MemAccess> &accesses)
     for (const MemAccess &access : accesses) {
         if (access.normalized) {
             auto &bucket = seen[subscriptsHash(access)];
-            if (std::any_of(bucket.begin(), bucket.end(),
-                            [&](const MemAccess *other) {
-                                return sameSubscripts(*other, access);
-                            }))
+            bool duplicate = false;
+            for (const MemAccess *other : bucket)
+                duplicate = duplicate || sameSubscripts(*other, access);
+            if (duplicate)
                 continue;
             bucket.push_back(&access);
         }
@@ -248,10 +245,10 @@ computePartitionPlan(Value *memref, const std::vector<MemAccess> &accesses)
             }
             const AffineExpr &e = access->indices[d];
             auto &bucket = seen[e.hash()];
-            if (std::any_of(bucket.begin(), bucket.end(),
-                            [&](const AffineExpr *other) {
-                                return other->equals(e);
-                            }))
+            bool duplicate = false;
+            for (const AffineExpr *other : bucket)
+                duplicate = duplicate || other->equals(e);
+            if (duplicate)
                 continue;
             bucket.push_back(&e);
             dim_exprs.emplace_back(&e, access->linearClass[d]);
@@ -420,10 +417,9 @@ findRecurrences(const std::vector<Operation *> &band)
         const MemAccess *sample = nullptr;
     };
     std::vector<Bucket> buckets;
-    std::unordered_map<Value *,
-                       std::unordered_map<LinearSubscriptKey, size_t,
-                                          LinearSubscriptKeyHash>>
-        linear_ids;
+    using KeyIds = std::unordered_map<LinearSubscriptKey, size_t,
+                                      LinearSubscriptKeyHash>;
+    std::unordered_map<Value *, KeyIds> linear_ids;
     std::map<std::pair<Value *, std::string>, size_t> other_ids;
     std::set<Value *> conservative; // Memrefs with unanalyzable writes.
     std::map<Value *, std::pair<Operation *, Operation *>> conservative_ops;
@@ -436,16 +432,16 @@ findRecurrences(const std::vector<Operation *> &band)
                 conservative.insert(access.memref);
             continue;
         }
-        size_t id = buckets.size();
-        if (auto key = linearSubscriptKey(access))
-            id = linear_ids[access.memref].emplace(std::move(*key), id)
-                     .first->second;
-        else
-            id = other_ids.emplace(std::make_pair(access.memref,
-                                                  subscriptKey(access)),
-                                   id)
-                     .first->second;
-        if (id == buckets.size())
+        size_t fresh = buckets.size();
+        size_t id = fresh;
+        if (auto key = linearSubscriptKey(access)) {
+            auto &ids = linear_ids[access.memref];
+            id = ids.emplace(std::move(*key), fresh).first->second;
+        } else {
+            auto name = std::make_pair(access.memref, subscriptKey(access));
+            id = other_ids.emplace(std::move(name), fresh).first->second;
+        }
+        if (id == fresh)
             buckets.emplace_back();
         Bucket &bucket = buckets[id];
         bucket.sample = &access;
@@ -501,9 +497,8 @@ partitionRelevantDims(Operation *band_root)
     auto scan = [&](Operation *scope, const std::vector<Value *> &ivs) {
         auto accesses = collectAccesses(scope, ivs);
         // Per memref and dim: the first constant seen in each class.
-        std::unordered_map<
-            Value *, std::vector<std::unordered_map<int32_t, int64_t>>>
-            first;
+        using PerDim = std::vector<std::unordered_map<int32_t, int64_t>>;
+        std::unordered_map<Value *, PerDim> first;
         for (const MemAccess &a : accesses) {
             Type t = a.memref->type();
             if (!t.isMemRef())
@@ -520,8 +515,7 @@ partitionRelevantDims(Operation *band_root)
                 int32_t cls = a.linearClass[d];
                 if (mask[d] || cls == kNonLinearSubscript)
                     continue;
-                auto [it, inserted] =
-                    classes[d].emplace(cls, a.constant(d));
+                auto [it, inserted] = classes[d].emplace(cls, a.constant(d));
                 if (!inserted && it->second != a.constant(d))
                     mask[d] = true;
             }

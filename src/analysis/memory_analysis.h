@@ -59,8 +59,7 @@ using LinearSubscriptKey = std::vector<std::pair<int32_t, int64_t>>;
 
 /** @p access's LinearSubscriptKey, or nullopt when it is not normalized
  * or some subscript is not linear. */
-std::optional<LinearSubscriptKey> linearSubscriptKey(
-    const MemAccess &access);
+std::optional<LinearSubscriptKey> linearSubscriptKey(const MemAccess &access);
 
 /** Hash of a LinearSubscriptKey, for unordered containers. */
 struct LinearSubscriptKeyHash

@@ -2,6 +2,7 @@
 
 #include <charconv>
 #include <cstdint>
+#include <iterator>
 #include <set>
 #include <string_view>
 #include <unordered_map>
@@ -207,9 +208,7 @@ class TreeSerializer
     {
         Ref ref;
         ref.text[0] = '%';
-        auto [end, ec] =
-            std::to_chars(ref.text + 1, ref.text + sizeof(ref.text), id);
-        (void)ec;
+        char *end = std::to_chars(ref.text + 1, std::end(ref.text), id).ptr;
         ref.size = static_cast<size_t>(end - ref.text);
         return ref;
     }

@@ -85,12 +85,12 @@ groupPressure(const std::vector<const MemAccess *> &accesses,
     // A non-normalized or rank-mismatched access may share a bank with
     // every access, and a plan with no partitioned dim separates nothing:
     // either way all accesses form one component.
-    bool one_component = std::all_of(
-        plan.kinds.begin(), plan.kinds.end(),
-        [](PartitionKind kind) { return kind == PartitionKind::None; });
+    bool one_component = true;
+    for (PartitionKind kind : plan.kinds)
+        one_component = one_component && kind == PartitionKind::None;
     for (const MemAccess *access : accesses)
-        one_component = one_component || !access->normalized ||
-                        access->indices.size() != rank;
+        if (!access->normalized || access->indices.size() != rank)
+            one_component = true;
     if (one_component)
         return ceilDiv(static_cast<int64_t>(n), ports);
 

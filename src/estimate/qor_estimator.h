@@ -343,8 +343,7 @@ class QoREstimator
      * band-tier digests computed it (only bands keyed against the
      * shared cache have an entry); buildBandScheduleEntry reuses it
      * instead of running the analysis again. */
-    const std::map<Operation *, PartitionRelevance> &
-    lastBandRelevance() const
+    const std::map<Operation *, PartitionRelevance> &lastBandRelevance() const
     {
         return last_relevance_;
     }

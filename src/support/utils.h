@@ -74,9 +74,7 @@ inline void
 appendInt(std::string &out, int64_t v)
 {
     char buf[24];
-    auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), v);
-    (void)ec;
-    out.append(buf, end);
+    out.append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
 }
 
 /** Join the elements of a container with a separator using operator<<. */

@@ -689,9 +689,10 @@ refComputePartitionPlan(Value *memref,
         int64_t factor = std::min<int64_t>(num_unique, shape[d]);
         if (factor <= 1)
             continue;
-        plan.kinds[d] = max_dist >= 0 && num_unique >= max_dist + 1
-                            ? PartitionKind::Cyclic
-                            : PartitionKind::Block;
+        if (max_dist >= 0 && num_unique >= max_dist + 1)
+            plan.kinds[d] = PartitionKind::Cyclic;
+        else
+            plan.kinds[d] = PartitionKind::Block;
         plan.factors[d] = factor;
     }
     return plan;
@@ -731,10 +732,12 @@ refFindRecurrences(const std::vector<Operation *> &band)
         else if (!access.isWrite && !bucket.other)
             bucket.other = access.op;
     }
-    for (const auto &[memref, ops] : conservative)
-        if (ops.first)
-            out.emplace_back(ops.first, ops.second ? ops.second : ops.first,
-                             static_cast<unsigned>(band.size()) - 1, 1);
+    unsigned innermost = static_cast<unsigned>(band.size()) - 1;
+    for (const auto &[memref, ops] : conservative) {
+        auto [write, read] = ops;
+        if (write)
+            out.emplace_back(write, read ? read : write, innermost, 1);
+    }
     for (const auto &[key, bucket] : buckets) {
         if (!bucket.write)
             continue;
@@ -754,9 +757,8 @@ refFindRecurrences(const std::vector<Operation *> &band)
         int64_t dist = 1;
         for (size_t i = carried + 1; i < band.size(); ++i)
             dist *= trips[i];
-        out.emplace_back(bucket.write,
-                         bucket.other ? bucket.other : bucket.write,
-                         static_cast<unsigned>(carried), dist);
+        Operation *read = bucket.other ? bucket.other : bucket.write;
+        out.emplace_back(bucket.write, read, carried, dist);
     }
     std::sort(out.begin(), out.end());
     return out;
@@ -846,18 +848,16 @@ expectFactsMatchUnderLayouts(Operation *band_root, const std::string &label)
                 plan = computePartitionPlan(memref, groups[g].second);
             } else {
                 for (unsigned d = 0; d < t.rank(); ++d) {
-                    plan.kinds.push_back(static_cast<PartitionKind>(
-                        (d + g + variant) % 3));
-                    plan.factors.push_back(
-                        plan.kinds.back() == PartitionKind::None
-                            ? 1
-                            : std::min<int64_t>(t.shape()[d],
-                                                variant + 1));
+                    int kind = (d + g + variant) % 3;
+                    plan.kinds.push_back(static_cast<PartitionKind>(kind));
+                    int64_t most = variant + 1;
+                    int64_t factor = std::min(t.shape()[d], most);
+                    plan.factors.push_back(kind == 0 ? 1 : factor);
                 }
             }
             applyPartitionPlan(memref, plan);
-            memref->setType(memref->type().withMemorySpace(
-                static_cast<MemKind>((g + variant) % 4)));
+            auto space = static_cast<MemKind>((g + variant) % 4);
+            memref->setType(memref->type().withMemorySpace(space));
         }
         EXPECT_TRUE(productionFacts(band_root) == referenceFacts(band_root))
             << label << " (layout variant " << variant << ")";
@@ -929,17 +929,16 @@ addCorner(Operation *module, const std::string &name,
     OpBuilder mid(outer.body());
     AffineForOp inner = createAffineFor(mid, 0, 8);
     OpBuilder in(inner.body());
+    // Indexed by Bind.
+    Value *const bound[] = {outer.inductionVar(), inner.inductionVar(),
+                            three, body->argument(1)};
     auto bind = [&](const std::vector<Bind> &binds) {
         std::vector<Value *> values;
         for (Bind b : binds)
-            values.push_back(b == Bind::I       ? outer.inductionVar()
-                             : b == Bind::J     ? inner.inductionVar()
-                             : b == Bind::Three ? three
-                                                : body->argument(1));
+            values.push_back(bound[static_cast<int>(b)]);
         return values;
     };
-    Value *stored =
-        createConstantFloat(in, 1.0, Type::f32())->result(0);
+    Value *stored = createConstantFloat(in, 1.0, Type::f32())->result(0);
     for (const AccessSpec &spec : specs) {
         if (spec.rankMismatch)
             stored = createMemLoad(in, x, bind(spec.binds))->result(0);
@@ -1022,14 +1021,15 @@ layoutOf(const std::vector<std::pair<PartitionKind, int64_t>> &dims,
         AffineExpr dim = getAffineDimExpr(d);
         auto [kind, factor] = dims[d];
         int64_t block = ceilDiv(shape[d], factor);
-        results[d] = kind == PartitionKind::None
-                         ? getAffineConstantExpr(0)
-                     : kind == PartitionKind::Cyclic
-                         ? affineMod(dim, factor)
-                         : affineFloorDiv(dim, block);
-        results[rank + d] = kind == PartitionKind::Cyclic
-                                ? affineFloorDiv(dim, factor)
-                                : affineMod(dim, block);
+        if (kind == PartitionKind::Cyclic) {
+            results[d] = affineMod(dim, factor);
+            results[rank + d] = affineFloorDiv(dim, factor);
+        } else {
+            results[d] = affineFloorDiv(dim, block);
+            if (kind == PartitionKind::None)
+                results[d] = getAffineConstantExpr(0);
+            results[rank + d] = affineMod(dim, block);
+        }
     }
     return AffineMap(rank, 0, std::move(results));
 }

@@ -122,11 +122,11 @@ TEST(Attributes, PrintMatchesStreamFormatting)
     EXPECT_EQ(Attribute(fd).toString(),
               "#hlscpp.func_directive<dataflow=1, pipeline=0, targetII=1>");
     AffineExpr d0 = getAffineDimExpr(0);
-    Type m = Type::memref({4, 8}, Type::f64(),
-                          AffineMap(2, 0,
-                                    {affineMod(d0, 2), getAffineConstantExpr(0),
-                                     affineFloorDiv(d0, 2),
-                                     getAffineDimExpr(1)}),
+    std::vector<AffineExpr> layout = {affineMod(d0, 2),
+                                      getAffineConstantExpr(0),
+                                      affineFloorDiv(d0, 2),
+                                      getAffineDimExpr(1)};
+    Type m = Type::memref({4, 8}, Type::f64(), AffineMap(2, 0, layout),
                           MemKind::BRAM_S2P);
     EXPECT_EQ(m.toString(), "memref<4x8xf64, (d0, d1) -> ((d0) mod 2, 0, "
                             "(d0) floordiv 2, d1), 2>");
