@@ -3,15 +3,13 @@
  * Estimator scaling and cache benchmarks: QoR estimations per second at
  * 1, 2, 4 and hardware_concurrency estimation threads over flat and
  * multi-function dataflow designs (cross-point FUNCTION-tier cache), plus
- * a DSE-like sweep over a multi-band kernel (2mm) exercising the
- * band-level cache tier (band hits pinned above zero), a
- * band-incremental materialization section (fast-path composition,
- * materializations per evaluated point pinned strictly below 1.0), a
- * partition-aware band-key section (a tile-retuning sweep, masked hits
- * pinned above zero), and a
- * plan-first probe section (full materializations per point pinned at
- * <= 0.25 with zero-IR composition of warm points; `--probe` runs it
- * alone), and a snapshot-persistence section (`--persist` runs it
+ * DSE-like II and tile-retuning sweeps over a multi-band kernel (2mm)
+ * through the shared cache, a band-incremental materialization section
+ * (fast-path composition, materializations per evaluated point pinned
+ * strictly below 1.0), a plan-first probe section (full
+ * materializations per point pinned at <= 0.25 with zero-IR
+ * composition of warm points; `--probe` runs it alone), and a
+ * snapshot-persistence section (`--persist` runs it
  * alone): a cold DNN kernel sweep saves its estimate cache to disk, a
  * FRESH sweep (new modules, spaces, evaluators and cache — a new
  * process in all but the pid) loads it back and must replay with zero
@@ -156,79 +154,102 @@ runScalingSection(const std::vector<unsigned> &configs, bool smoke)
     return all_identical;
 }
 
-/** Band-level cache on a multi-band workload: a DSE-like sweep over 2mm
- * design points that differ only in ONE band's pipeline II. The function
- * digest changes on every point (so the function tier misses), but the
- * untouched band's digest is stable — the band tier turns those into
- * hits. Self-checks bit-identity against the sequential uncached
- * reference, and that the band tier scores at least one hit. */
+/** Multi-band sweeps over 2mm through the shared estimate cache: points
+ * that differ from a base schedule only in one band's pipeline II, and
+ * points that retune only the second band's outer tile (which
+ * repartitions tmp, an array both bands access). The function tier
+ * misses on every new point, so each one walks its bands. Self-check:
+ * every estimate is bit-identical to the sequential uncached reference
+ * at every thread count. */
 bool
-runBandCacheSection(const std::vector<unsigned> &configs)
+runSweepSection(const std::vector<unsigned> &configs, bool smoke)
 {
-    std::printf("=== Band-level estimate cache (multi-band 2mm sweep) "
+    std::printf("=== Multi-band sweeps through the shared cache (2mm) "
                 "===\n\n");
 
-    auto module = parseCToModule(polybenchSource("2mm", 16));
-    raiseScfToAffine(module.get());
-    DesignSpace space(module.get());
-
-    // The sweep: per band, the canonical seed with that band's II dial
-    // turned through its first few candidates. Every point differs from
-    // the seed in exactly one band.
-    std::vector<DesignSpace::Point> points;
-    DesignSpace::Point zero(space.numDims(), 0);
-    points.push_back(zero);
-    for (size_t b = 0; b < space.numBands(); ++b) {
-        for (int v = 1; v <= 3; ++v) {
-            DesignSpace::Point p = zero;
-            p[space.dimTargetII(b)] = v;
-            points.push_back(std::move(p));
-        }
-    }
-
-    std::vector<std::unique_ptr<Operation>> modules;
-    std::vector<QoRResult> reference;
-    for (const auto &p : points) {
-        auto m = space.materialize(p);
-        if (!m) {
-            std::printf("UNEXPECTED: sweep point not materializable\n");
-            return false;
-        }
-        reference.push_back(QoREstimator(m.get()).estimateModule());
-        modules.push_back(std::move(m));
-    }
-    std::printf("sweep: %zu points over %zu bands\n\n", points.size(),
-                space.numBands());
-    std::printf("%-10s %-14s %-14s %-14s %s\n", "Threads", "FuncHit%",
-                "BandHit%", "BandHits", "Identical");
+    struct Sweep
+    {
+        const char *name;
+        int size;
+    };
+    const Sweep sweeps[] = {{"ii", 16}, {"tile", smoke ? 8 : 16}};
 
     bool ok = true;
-    for (unsigned threads : configs) {
-        ThreadPool pool(threads);
-        EstimateCache cache;
-        bool matches = true;
-        for (size_t i = 0; i < modules.size(); ++i) {
-            QoREstimator estimator(modules[i].get(), &pool, &cache);
-            matches &= identical(estimator.estimateModule(), reference[i]);
+    for (const Sweep &sweep : sweeps) {
+        auto module = parseCToModule(polybenchSource("2mm", sweep.size));
+        raiseScfToAffine(module.get());
+        DesignSpace space(module.get());
+
+        std::vector<DesignSpace::Point> points;
+        if (std::strcmp(sweep.name, "ii") == 0) {
+            // The canonical seed with one band's II dial turned through
+            // its first few candidates.
+            DesignSpace::Point zero(space.numDims(), 0);
+            points.push_back(zero);
+            for (size_t b = 0; b < space.numBands(); ++b) {
+                for (int v = 1; v <= 3; ++v) {
+                    DesignSpace::Point p = zero;
+                    p[space.dimTargetII(b)] = v;
+                    points.push_back(std::move(p));
+                }
+            }
+        } else {
+            // Loop perfectization on (tiling needs perfect nests), then
+            // band 1's outermost tile and band 1's pipeline II.
+            DesignSpace::Point base(space.numDims(), 0);
+            base[space.dimLoopPerfectization()] = 1;
+            points.push_back(base);
+            for (int v = 1; v <= 2; ++v) {
+                DesignSpace::Point p = base;
+                p[space.dimFirstTile(1)] = v;
+                points.push_back(std::move(p));
+            }
+            for (int v = 1; v <= 2; ++v) {
+                DesignSpace::Point p = base;
+                p[space.dimTargetII(1)] = v;
+                points.push_back(std::move(p));
+            }
         }
-        ok &= matches;
-        CacheStats func = cache.funcStats();
-        CacheStats band = cache.bandStats();
-        std::printf("%-10u %-14.1f %-14.1f %-14zu %s\n", threads,
-                    func.hitRate() * 100, band.hitRate() * 100, band.hits,
-                    matches ? "yes" : "NO (BUG)");
-        std::printf("JSON {\"bench\":\"estimator_band_cache\","
-                    "\"design\":\"2mm-16\",\"threads\":%u,"
-                    "\"func_hit_rate\":%.3f,\"band_hit_rate\":%.3f,"
-                    "\"band_hits\":%zu,\"identical\":%s}\n",
-                    threads, func.hitRate(), band.hitRate(), band.hits,
-                    matches ? "true" : "false");
-        if (band.hits == 0) {
-            std::printf("BAND CACHE CHECK FAILED: no band-tier hits\n");
-            ok = false;
+
+        std::vector<std::unique_ptr<Operation>> modules;
+        std::vector<QoRResult> reference;
+        for (const auto &p : points) {
+            auto m = space.materialize(p);
+            if (!m) {
+                std::printf("UNEXPECTED: sweep point not materializable\n");
+                return false;
+            }
+            reference.push_back(QoREstimator(m.get()).estimateModule());
+            modules.push_back(std::move(m));
         }
+        std::printf("%s sweep: %zu points over %zu bands (2mm-%d)\n",
+                    sweep.name, points.size(), space.numBands(),
+                    sweep.size);
+        std::printf("%-10s %-14s %s\n", "Threads", "FuncHit%",
+                    "Identical");
+
+        for (unsigned threads : configs) {
+            ThreadPool pool(threads);
+            EstimateCache cache;
+            bool matches = true;
+            for (size_t i = 0; i < modules.size(); ++i) {
+                QoREstimator estimator(modules[i].get(), &pool, &cache);
+                matches &=
+                    identical(estimator.estimateModule(), reference[i]);
+            }
+            ok &= matches;
+            CacheStats func = cache.funcStats();
+            std::printf("%-10u %-14.1f %s\n", threads,
+                        func.hitRate() * 100, matches ? "yes" : "NO (BUG)");
+            std::printf("JSON {\"bench\":\"estimator_sweep\","
+                        "\"design\":\"2mm-%d\",\"sweep\":\"%s\","
+                        "\"threads\":%u,\"points\":%zu,"
+                        "\"func_hit_rate\":%.3f,\"identical\":%s}\n",
+                        sweep.size, sweep.name, threads, points.size(),
+                        func.hitRate(), matches ? "true" : "false");
+        }
+        std::printf("\n");
     }
-    std::printf("\n");
     return ok;
 }
 
@@ -316,87 +337,6 @@ runMaterializationSection(const std::vector<unsigned> &configs,
             "\"points_per_second\":%.1f,\"identical\":%s}\n",
             size, threads, all.size(), full, fast, per_point, rate,
             structural ? "true" : "false");
-    }
-    std::printf("\n");
-    return ok;
-}
-
-/** Partition-aware band keys on a tile-retuning sweep: retuning the
- * SECOND band's outer tile repartitions tmp along a dim the FIRST band
- * never separates banks on, so the masked keys keep serving band 1's
- * cached estimate where layout-sensitive keys would miss. Hard checks:
- * at least one band-tier hit is partition-masked, and every result
- * stays bit-identical to the sequential uncached reference. */
-bool
-runPartitionKeySection(const std::vector<unsigned> &configs, bool smoke)
-{
-    std::printf("=== Partition-aware band keys (2mm tile-retune sweep) "
-                "===\n\n");
-
-    const int size = smoke ? 8 : 16;
-    auto module = parseCToModule(polybenchSource("2mm", size));
-    raiseScfToAffine(module.get());
-    DesignSpace space(module.get());
-
-    // The base schedule (loop perfectization on — tiling needs perfect
-    // nests) plus points retuning only band 1's outermost tile (which
-    // repartitions tmp's first dim, a dim band 0 never separates banks
-    // on) and band 1's pipeline II.
-    std::vector<DesignSpace::Point> points;
-    DesignSpace::Point base(space.numDims(), 0);
-    base[space.dimLoopPerfectization()] = 1;
-    points.push_back(base);
-    for (int v = 1; v <= 2; ++v) {
-        DesignSpace::Point p = base;
-        p[space.dimFirstTile(1)] = v;
-        points.push_back(std::move(p));
-    }
-    for (int v = 1; v <= 2; ++v) {
-        DesignSpace::Point p = base;
-        p[space.dimTargetII(1)] = v;
-        points.push_back(std::move(p));
-    }
-
-    std::vector<std::unique_ptr<Operation>> modules;
-    std::vector<QoRResult> reference;
-    for (const auto &p : points) {
-        auto m = space.materialize(p);
-        if (!m) {
-            std::printf("UNEXPECTED: sweep point not materializable\n");
-            return false;
-        }
-        reference.push_back(QoREstimator(m.get()).estimateModule());
-        modules.push_back(std::move(m));
-    }
-    std::printf("sweep: %zu points\n\n", points.size());
-    std::printf("%-10s %-14s %-14s %-14s %s\n", "Threads", "BandHit%",
-                "BandHits", "MaskedHits", "Identical");
-
-    bool ok = true;
-    for (unsigned threads : configs) {
-        ThreadPool pool(threads);
-        EstimateCache cache;
-        bool matches = true;
-        for (size_t i = 0; i < modules.size(); ++i) {
-            QoREstimator estimator(modules[i].get(), &pool, &cache);
-            matches &= identical(estimator.estimateModule(), reference[i]);
-        }
-        ok &= matches;
-        CacheStats band = cache.bandStats();
-        std::printf("%-10u %-14.1f %-14zu %-14zu %s\n", threads,
-                    band.hitRate() * 100, band.hits, band.maskedHits,
-                    matches ? "yes" : "NO (BUG)");
-        std::printf("JSON {\"bench\":\"estimator_band_keys\","
-                    "\"design\":\"2mm-%d\",\"threads\":%u,"
-                    "\"band_hits\":%zu,\"band_hit_rate\":%.3f,"
-                    "\"masked_hits\":%zu,\"identical\":%s}\n",
-                    size, threads, band.hits, band.hitRate(),
-                    band.maskedHits, matches ? "true" : "false");
-        if (band.maskedHits == 0) {
-            std::printf("PARTITION KEY CHECK FAILED: no partition-masked "
-                        "band-tier hits\n");
-            ok = false;
-        }
     }
     std::printf("\n");
     return ok;
@@ -947,8 +887,7 @@ runPersistSection(bool smoke)
         CacheLoadResult load = loadEstimateCache(warm_cache, snapshot);
         bool load_ok = load.status == CacheLoadStatus::Loaded &&
                        load.totalEntries() > 0 &&
-                       warm_cache.funcStats().lookups() == 0 &&
-                       warm_cache.bandStats().lookups() == 0;
+                       warm_cache.funcStats().lookups() == 0;
         std::vector<QoRResult> warm_qors;
         size_t warm_full = 0;
         double warm_seconds =
@@ -1176,9 +1115,8 @@ main(int argc, char **argv)
     } else {
         if (!dnn_only && !probe_only) {
             ok &= runScalingSection(configs, smoke);
-            ok &= runBandCacheSection(configs);
+            ok &= runSweepSection(configs, smoke);
             ok &= runMaterializationSection(configs, smoke);
-            ok &= runPartitionKeySection(configs, smoke);
         }
         if (!dnn_only)
             ok &= runProbeSection(configs, smoke);

@@ -149,9 +149,9 @@ std::string subscriptKey(const MemAccess &access);
  * flattened chain), has a known NONZERO difference — i.e. some linear
  * subscript class along d holds two different constants. Repartitioning
  * an irrelevant dim provably cannot change the band's estimate, which is
- * what lets the band digest mask such dims (partition-aware band keys).
- * The analysis reads subscripts only — never layouts — so digest-equal
- * bands always agree on their masks. One pass over each scope's
+ * what lets a schedule entry's assumed plan be re-validated on relevant
+ * dims only (BandScheduleEntry::MemrefInfo::relevant). The analysis
+ * reads subscripts only — never layouts. One pass over each scope's
  * accesses. */
 using PartitionRelevance = std::map<Value *, std::vector<bool>>;
 PartitionRelevance partitionRelevantDims(Operation *band_root);

@@ -58,12 +58,23 @@ unsignedDiagnostic(const std::string &name, const std::string &value)
 
 std::string
 decodeFlagInt(const std::string &name, const std::string &value,
-              int64_t &field)
+              int64_t &field, int64_t max)
 {
-    auto parsed = decodeDigits(value, std::numeric_limits<int64_t>::max());
+    auto parsed = decodeDigits(value, static_cast<unsigned long long>(max));
     if (!parsed)
         return unsignedDiagnostic(name, value);
     field = static_cast<int64_t>(*parsed);
+    return "";
+}
+
+std::string
+decodeCacheCaps(const std::string &spec, EstimateCacheTierCaps &caps)
+{
+    auto parsed = parseEstimateCacheCaps(spec);
+    if (!parsed)
+        return "cache cap must be <n> or func:sched:plan, got '" + spec +
+               "'";
+    caps = *parsed;
     return "";
 }
 
@@ -140,12 +151,10 @@ ExploreRequest::validate()
                std::to_string(graphLevel);
 
     if (!cacheCapSpec.empty()) {
-        auto caps = parseEstimateCacheCaps(cacheCapSpec);
-        if (!caps)
-            return "cache cap must be <n> or func:band:sched:plan, "
-                   "got '" +
-                   cacheCapSpec + "'";
-        dse.estimateCacheTierCaps = *caps;
+        std::string error =
+            decodeCacheCaps(cacheCapSpec, dse.estimateCacheTierCaps);
+        if (!error.empty())
+            return error;
     }
 
     if (dse.batchSize == 0)
@@ -297,7 +306,7 @@ exploreFlagUsage()
            "  -dse-iterations=<n>  step-4 proposal budget (default 400)\n"
            "  -dse-cache=<0|1>  cross-point estimate cache (default 1;\n"
            "                    content-keyed, never changes results)\n"
-           "  -dse-cache-cap=<n|f:b:s:p>  max entries per estimate-\n"
+           "  -dse-cache-cap=<n|f:s:p>  max entries per estimate-\n"
            "                    cache tier (LRU eviction; default 0 =\n"
            "                    unbounded)\n"
            "  -cache-load=<path>  estimate-cache snapshot loaded before\n"

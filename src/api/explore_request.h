@@ -16,6 +16,7 @@
 #define SCALEHLS_API_EXPLORE_REQUEST_H
 
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
@@ -50,7 +51,7 @@ struct ExploreRequest
     int graphLevel = 4;
 
     /** Per-tier estimate-cache cap spec ("" = unbounded; "<n>" or
-     * "func:band:sched:plan"). Resolved into dse.estimateCacheTierCaps
+     * "func:sched:plan"). Resolved into dse.estimateCacheTierCaps
      * by validate(). */
     std::string cacheCapSpec;
 
@@ -107,14 +108,22 @@ std::string exploreRequestFromJson(ExploreRequest &request,
 std::string decodeJsonUnsigned(const JsonValue &object, const char *key,
                                unsigned &field);
 
-/** The checked decode of an integral scalehls-opt pass option
- * ("-affine-loop-unroll=<f>", "-loop-pipelining=<II>", ...): digits
- * only, no larger than INT64_MAX, so "abc", "-1" and
- * "99999999999999999999" are rejected, never thrown or wrapped.
- * Returns "" on success, else the shared "<name> expects an unsigned
- * integer, got '<value>'" diagnostic (leaving @p field untouched). */
+/** The checked decode of an integral tool option
+ * ("-affine-loop-unroll=<f>", "--threads N", ...): digits only, no
+ * larger than @p max, so "abc", "-1" and "99999999999999999999" are
+ * rejected, never thrown or wrapped. Returns "" on success, else the
+ * shared "<name> expects an unsigned integer, got '<value>'" diagnostic
+ * (leaving @p field untouched). */
 std::string decodeFlagInt(const std::string &name, const std::string &value,
-                          int64_t &field);
+                          int64_t &field,
+                          int64_t max = std::numeric_limits<int64_t>::max());
+
+/** The checked decode of a cache-cap spec (-dse-cache-cap,
+ * scalehls-serve --cache-cap, the "cache_cap" request field): "" on
+ * success, else the shared "cache cap must be <n> or func:sched:plan"
+ * diagnostic (leaving @p caps untouched). */
+std::string decodeCacheCaps(const std::string &spec,
+                            EstimateCacheTierCaps &caps);
 
 /** decodeFlagInt over a comma-separated list
  * ("-affine-loop-tile=<t0,t1,...>"; "" is the empty list). The

@@ -66,7 +66,6 @@ std::string
 cacheJson(const EstimateCache &cache)
 {
     return "{\"func\":" + tierJson(cache.funcStats()) +
-           ",\"band\":" + tierJson(cache.bandStats()) +
            ",\"schedule\":" + tierJson(cache.scheduleStats()) +
            ",\"plan\":" + tierJson(cache.planStats()) + "}";
 }

@@ -279,8 +279,7 @@ BandPlanner::overlayEvaluate(const DesignSpace::Decoded &d,
             return out;
         }
 
-        infos[b] = bandEstimateDigestInfo(
-            current[b], /*mask_partitions=*/false, &overlay_own);
+        infos[b] = bandEstimateDigestInfo(current[b], &overlay_own);
         BandPlanOutcome outcome;
         outcome.materializable = true;
         if (infos[b]) {
@@ -439,8 +438,7 @@ BandPlanner::overlayEvaluate(const DesignSpace::Decoded &d,
 
     // Estimate the overlay. The function is renamed so the estimator's
     // function tier never keys this partial body under the kernel's
-    // name; the band tier still shares freely — overlay band content is
-    // identical to full-pipeline band content, which is the point.
+    // name.
     Operation *overlay_func = ov.op.get();
     overlay_func->setAttr(kSymName,
                           Attribute(func_name_ + "!overlay"));
@@ -459,7 +457,6 @@ BandPlanner::overlayEvaluate(const DesignSpace::Decoded &d,
     QoREstimator estimator(overlay_module.get(), nullptr, estimates_);
     estimator.estimateFunc(overlay_func);
     const auto &band_estimates = estimator.lastBandEstimates();
-    const auto &band_relevance = estimator.lastBandRelevance();
 
     std::vector<BandScheduleEntry> entries(n);
     std::vector<const std::vector<unsigned> *> ext_maps(n);
@@ -473,10 +470,8 @@ BandPlanner::overlayEvaluate(const DesignSpace::Decoded &d,
         auto it = band_estimates.find(current[b]);
         if (it == band_estimates.end())
             return out; // Function-tier hit skipped the band walk.
-        auto ri = band_relevance.find(current[b]);
-        auto entry = buildBandScheduleEntry(
-            current[b], it->second, infos[b]->externals,
-            ri != band_relevance.end() ? &ri->second : nullptr);
+        auto entry = buildBandScheduleEntry(current[b], it->second,
+                                            infos[b]->externals);
         if (!entry)
             return out;
         entry->origin = originOf(b);

@@ -259,8 +259,8 @@ DesignSpace::beginMaterialize(const Point &point) const
         // bands whose buffers are erased. A nullopt digest
         // (call-containing band, unrecognized external) masks only THIS
         // band out of the schedule tier; its siblings still populate it.
-        partial.bandDigests.push_back(bandEstimateDigestInfo(
-            root, /*mask_partitions=*/false, &partial.ownership));
+        partial.bandDigests.push_back(
+            bandEstimateDigestInfo(root, &partial.ownership));
     }
     return partial;
 }

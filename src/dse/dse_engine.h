@@ -52,13 +52,13 @@ struct DSEOptions
      * forces the affected point onto the validated slow path, so an
      * audited run can be slower but never wrong. */
     bool auditMode = dseAuditEnvDefault();
-    /** Max entries per tier (func/band/schedule/plan) of the estimate
+    /** Max entries per tier (func/schedule/plan) of the estimate
      * cache the exploration creates (coarse LRU eviction; 0 = that tier
      * unbounded). Bounds memory on week-long sweeps without changing
      * results; external sharedEstimates caches are the caller's to
      * bound. Schedule/plan entries are far heavier than function QoRs,
      * so persistent deployments size the tiers separately
-     * (`-dse-cache-cap=f:b:s:p`; one count caps every tier). */
+     * (`-dse-cache-cap=f:s:p`; one count caps every tier). */
     EstimateCacheTierCaps estimateCacheTierCaps;
     /** Snapshot persistence (estimate/cache_io): load the estimate cache
      * from cacheLoadPath before exploring and save it to cacheSavePath

@@ -425,15 +425,6 @@ encodeEstimateCache(const EstimateCache &cache, uint32_t format_version,
         payload.qor(entry.second);
     }
 
-    auto bands = sortedEntries<BandEstimate>(
-        [&](auto &&fn) { cache.forEachBand(fn); });
-    payload.u8('B');
-    payload.u64(bands.size());
-    for (const auto &entry : bands) {
-        payload.str(entry.first);
-        payload.band(entry.second);
-    }
-
     auto schedules = sortedEntries<BandScheduleEntry>(
         [&](auto &&fn) { cache.forEachSchedule(fn); });
     payload.u8('S');
@@ -509,7 +500,6 @@ decodeEstimateCache(EstimateCache &cache, std::string_view bytes)
     // insert: a corrupt section must not leave the cache half-loaded.
     Reader reader(body);
     std::vector<std::pair<std::string, QoRResult>> funcs;
-    std::vector<std::pair<std::string, BandEstimate>> bands;
     std::vector<std::pair<std::string, BandScheduleEntry>> schedules;
     std::vector<std::pair<std::string, BandPlanOutcome>> plans;
 
@@ -518,12 +508,6 @@ decodeEstimateCache(EstimateCache &cache, std::string_view bytes)
     for (uint64_t i = 0, n = reader.count(); reader.ok() && i < n; ++i) {
         std::string key = reader.str();
         funcs.emplace_back(std::move(key), reader.qor());
-    }
-    if (reader.u8() != 'B')
-        return reject(CacheLoadStatus::Corrupt, "bad band-tier tag");
-    for (uint64_t i = 0, n = reader.count(); reader.ok() && i < n; ++i) {
-        std::string key = reader.str();
-        bands.emplace_back(std::move(key), reader.band());
     }
     if (reader.u8() != 'S')
         return reject(CacheLoadStatus::Corrupt, "bad schedule-tier tag");
@@ -549,14 +533,11 @@ decodeEstimateCache(EstimateCache &cache, std::string_view bytes)
     result.status = CacheLoadStatus::Loaded;
     for (auto &entry : funcs)
         cache.insert(entry.first, entry.second);
-    for (auto &entry : bands)
-        cache.insertBand(entry.first, entry.second);
     for (auto &entry : schedules)
         cache.insertSchedule(entry.first, entry.second);
     for (auto &entry : plans)
         cache.insertPlan(entry.first, entry.second);
     result.funcEntries = funcs.size();
-    result.bandEntries = bands.size();
     result.scheduleEntries = schedules.size();
     result.planEntries = plans.size();
     return result;
@@ -616,10 +597,10 @@ loadEstimateCacheLogged(EstimateCache &cache, const std::string &path)
     case CacheLoadStatus::Loaded:
         std::fprintf(stderr,
                      "cache snapshot: loaded %zu entries from %s "
-                     "(func %zu, band %zu, schedule %zu, plan %zu)\n",
+                     "(func %zu, schedule %zu, plan %zu)\n",
                      result.totalEntries(), path.c_str(),
-                     result.funcEntries, result.bandEntries,
-                     result.scheduleEntries, result.planEntries);
+                     result.funcEntries, result.scheduleEntries,
+                     result.planEntries);
         break;
     case CacheLoadStatus::NoFile:
         // First run against a cache dir: silent cold start.

@@ -1,6 +1,6 @@
 /**
  * @file
- * Snapshot persistence for the four-tier EstimateCache: a versioned,
+ * Snapshot persistence for the three-tier EstimateCache: a versioned,
  * checksummed binary format that lets the content-keyed cache tiers
  * outlive the process (DSE-as-a-service warm starts). Safety rests on
  * properties the tiers already have, not on trusting the file:
@@ -37,7 +37,7 @@ namespace scalehls {
 /** Snapshot byte-layout version; bump on any change to the encoding
  * below (field order, widths, new tiers). Version-mismatched snapshots
  * are rejected wholesale. */
-inline constexpr uint32_t kCacheSnapshotFormatVersion = 1;
+inline constexpr uint32_t kCacheSnapshotFormatVersion = 2;
 
 /** The digest-schema salt stamped into every snapshot header: a manual
  * schema version, the digest attribute-coverage registries
@@ -63,7 +63,6 @@ struct CacheLoadResult
 {
     CacheLoadStatus status = CacheLoadStatus::NoFile;
     size_t funcEntries = 0;
-    size_t bandEntries = 0;
     size_t scheduleEntries = 0;
     size_t planEntries = 0;
     /** Human-readable reason on any non-Loaded status. */
@@ -73,11 +72,11 @@ struct CacheLoadResult
     size_t
     totalEntries() const
     {
-        return funcEntries + bandEntries + scheduleEntries + planEntries;
+        return funcEntries + scheduleEntries + planEntries;
     }
 };
 
-/** Serialize all four tiers of @p cache into the snapshot byte format.
+/** Serialize all three tiers of @p cache into the snapshot byte format.
  * Entries are exported per tier in sorted key order, so byte-identical
  * cache contents produce byte-identical snapshots regardless of insert
  * order or shard layout. @p format_version / @p salt exist for tests

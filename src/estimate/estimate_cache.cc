@@ -1,5 +1,6 @@
 #include "estimate/estimate_cache.h"
 
+#include <algorithm>
 #include <charconv>
 #include <cstdint>
 #include <iterator>
@@ -9,7 +10,6 @@
 #include <vector>
 
 #include "analysis/buffer_analysis.h"
-#include "analysis/memory_analysis.h"
 #include "dialect/ops.h"
 #include "estimate/coherence_audit.h"
 #include "support/utils.h"
@@ -71,15 +71,16 @@ struct Digest128
 /** Serialize an op tree into @p digest: op names, attributes (AttrMap is
  * ordered, so iteration is deterministic), operand wiring via tree-local
  * value numbering, and result / block-argument types. One traversal
- * serves both cache tiers — function-tier and band-tier digests must
- * never drift in what they cover — and the modes differ only in how
- * values defined OUTSIDE the serialized tree are referenced:
+ * serves every digest — function-tier keys and the band digests behind
+ * the schedule and plan tiers must never drift in what they cover — and
+ * the modes differ only in how values defined OUTSIDE the serialized
+ * tree are referenced:
  *
  *  - Function mode: externals degrade to a fixed "ext" marker (none
  *    exist in this IR's top-level-function structure).
  *  - Band mode: a fixed marker would alias bands that access different
  *    arrays, so every external value gets a stable local id on first
- *    reference, and its type (covering memref shapes and partition
+ *    reference, and its full type (covering memref shapes and partition
  *    layouts) plus a canonical summary of its definition are folded in:
  *    block arguments as "arg"; arith.constant as "const" + the value
  *    (trip counts and guards computed from external constants depend on
@@ -107,28 +108,18 @@ class TreeSerializer
         Band
     };
 
-    /** @p relevance (band mode with @p mask_partitions only): per-dim
-     * partition relevance of the band's accessed memrefs; external
-     * memref layouts are digested per dim and masked along irrelevant
-     * dims (see bandEstimateDigestInfo). @p ownership (band mode only):
-     * folds each external alloc's kept/dead note into the digest — the
-     * write-only-buffer cleanup's per-buffer verdict, which the band's
-     * own subtree cannot determine (see AllocOwnershipInfo). */
+    /** @p ownership (band mode only): folds each external alloc's
+     * kept/dead note into the digest — the write-only-buffer cleanup's
+     * per-buffer verdict, which the band's own subtree cannot determine
+     * (see AllocOwnershipInfo). */
     TreeSerializer(Digest128 &digest, Mode mode,
-                   bool mask_partitions = false,
-                   const PartitionRelevance *relevance = nullptr,
                    const AllocOwnershipInfo *ownership = nullptr)
-        : digest_(digest), mode_(mode),
-          mask_partitions_(mask_partitions), relevance_(relevance),
-          ownership_(ownership)
+        : digest_(digest), mode_(mode), ownership_(ownership)
     {}
 
     /** False when band mode found content the digest cannot determine
      * (always true in function mode). */
     bool cacheable() const { return cacheable_; }
-
-    /** True when a non-trivially partitioned layout dim was masked. */
-    bool partitionMasked() const { return partition_masked_; }
 
     /** External values in first-reference (id) order. */
     const std::vector<Value *> &externals() const { return externals_; }
@@ -233,50 +224,6 @@ class TreeSerializer
         digest_.feed(text_);
     }
 
-    /** Digest an external value's type. Partition-aware keying digests
-     * memrefs decomposed — shape, element, memory space, then the
-     * DECODED partition plan per dimension, masked to a fixed marker
-     * along dims the band's estimate provably never reads (the estimator
-     * consults layouts only through decodePartitionMap, so digesting the
-     * decoded plan is exactly as discriminating as the estimate is
-     * sensitive). Everything else keeps the full type string. */
-    void
-    feedExternalType(Value *value)
-    {
-        Type t = value->type();
-        if (!mask_partitions_ || !t.isMemRef()) {
-            feedPrinted(t);
-            return;
-        }
-        digest_.feed("memref");
-        for (int64_t s : t.shape())
-            feedInt(s);
-        feedPrinted(t.elementType());
-        feedInt(static_cast<int>(t.memorySpace()));
-        PartitionPlan plan = decodePartitionMap(t.layout(), t.shape());
-        const std::vector<bool> *mask = nullptr;
-        if (relevance_) {
-            auto it = relevance_->find(value);
-            if (it != relevance_->end() &&
-                it->second.size() == t.rank())
-                mask = &it->second;
-        }
-        for (unsigned d = 0; d < t.rank(); ++d) {
-            if (mask && (*mask)[d]) {
-                text_.clear();
-                appendInt(text_, static_cast<int>(plan.kinds[d]));
-                text_ += ':';
-                appendInt(text_, plan.factors[d]);
-                digest_.feed(text_);
-            } else {
-                digest_.feed("*");
-                if (plan.kinds[d] != PartitionKind::None ||
-                    plan.factors[d] != 1)
-                    partition_masked_ = true;
-            }
-        }
-    }
-
     Ref
     refOf(Value *value)
     {
@@ -294,7 +241,7 @@ class TreeSerializer
         externals_.push_back(value);
         digest_.feed("ext");
         feedInt(id);
-        feedExternalType(value);
+        feedPrinted(value->type());
         Operation *def = value->definingOp();
         if (!def) {
             digest_.feed("arg");
@@ -313,11 +260,8 @@ class TreeSerializer
 
     Digest128 &digest_;
     Mode mode_;
-    bool mask_partitions_ = false;
-    const PartitionRelevance *relevance_ = nullptr;
     const AllocOwnershipInfo *ownership_ = nullptr;
     bool cacheable_ = true;
-    bool partition_masked_ = false;
     std::unordered_map<const Value *, unsigned> ids_;
     std::vector<Value *> externals_;
     std::string text_;
@@ -372,25 +316,21 @@ addFuncEstimateDigests(Operation *func, Operation *module,
 }
 
 std::optional<BandDigestInfo>
-bandEstimateDigestInfo(Operation *band_root, bool mask_partitions,
+bandEstimateDigestInfo(Operation *band_root,
                        const AllocOwnershipInfo *ownership)
 {
     Digest128 digest;
-    // Domain-separate from function digests AND between the keying
-    // schemes — masked, partition-sensitive and ownership-annotated keys
-    // must never alias when several feed one cache.
-    digest.feed(mask_partitions ? "band-masked" : "band");
+    // Domain-separate from function digests AND between plain and
+    // ownership-annotated keys, which must never alias in one cache.
+    digest.feed("band");
     digest.feed(ownership ? "owned" : "plain");
-    BandDigestInfo info;
-    if (mask_partitions)
-        info.relevance = partitionRelevantDims(band_root);
     TreeSerializer serializer(digest, TreeSerializer::Mode::Band,
-                              mask_partitions, &info.relevance, ownership);
+                              ownership);
     serializer.serialize(band_root);
     if (!serializer.cacheable())
         return std::nullopt;
+    BandDigestInfo info;
     info.digest = digest.hex();
-    info.partitionMasked = serializer.partitionMasked();
     info.externals = serializer.externals();
     return info;
 }
@@ -407,7 +347,6 @@ bandPlanSeed(Operation *band_root, const AllocOwnershipInfo *ownership)
     digest.feed("plan");
     digest.feed(ownership ? "owned" : "plain");
     TreeSerializer serializer(digest, TreeSerializer::Mode::Band,
-                              /*mask_partitions=*/false, nullptr,
                               ownership);
     serializer.serialize(band_root);
     if (!serializer.cacheable())
@@ -442,9 +381,9 @@ bandPlanKey(const BandPlanSeed &seed, bool loop_perfectization,
 }
 
 std::optional<std::string>
-bandEstimateDigest(Operation *band_root, bool mask_partitions)
+bandEstimateDigest(Operation *band_root)
 {
-    auto info = bandEstimateDigestInfo(band_root, mask_partitions);
+    auto info = bandEstimateDigestInfo(band_root);
     if (!info)
         return std::nullopt;
     return std::move(info->digest);
@@ -468,7 +407,8 @@ digestHashFingerprint()
     // length separator) and the domain tags of the band/plan keying. Any
     // change to either moves this fingerprint, which moves the snapshot
     // salt, which invalidates persisted caches keyed under the old
-    // scheme.
+    // scheme. "band-masked" is a retired tag, still fed so the salt of
+    // this unchanged scheme keeps its value.
     Digest128 digest;
     digest.feed("scalehls-digest-probe");
     digest.feed("band-masked");
@@ -484,31 +424,30 @@ std::optional<EstimateCacheTierCaps>
 parseEstimateCacheCaps(const std::string &spec)
 {
     std::vector<size_t> parts;
-    size_t begin = 0;
-    while (begin <= spec.size()) {
-        size_t end = spec.find(':', begin);
-        if (end == std::string::npos)
-            end = spec.size();
-        std::string part = spec.substr(begin, end - begin);
-        if (part.empty() ||
-            part.find_first_not_of("0123456789") != std::string::npos)
+    for (size_t begin = 0;;) {
+        size_t end = std::min(spec.find(':', begin), spec.size());
+        size_t count = 0;
+        auto [ptr, error] =
+            std::from_chars(spec.data() + begin, spec.data() + end, count);
+        // from_chars rejects an empty field and a sign, and reports
+        // overflow: digits only, each count fits in size_t.
+        if (error != std::errc() || ptr != spec.data() + end)
             return std::nullopt;
-        parts.push_back(std::stoull(part));
-        begin = end + 1;
+        parts.push_back(count);
         if (end == spec.size())
             break;
+        begin = end + 1;
     }
     EstimateCacheTierCaps caps;
     if (parts.size() == 1) {
-        caps.func = caps.band = caps.schedule = caps.plan = parts[0];
+        caps.func = caps.schedule = caps.plan = parts[0];
         return caps;
     }
-    if (parts.size() != 4)
+    if (parts.size() != 3)
         return std::nullopt;
     caps.func = parts[0];
-    caps.band = parts[1];
-    caps.schedule = parts[2];
-    caps.plan = parts[3];
+    caps.schedule = parts[1];
+    caps.plan = parts[2];
     return caps;
 }
 

@@ -52,7 +52,7 @@ struct BandPlanOutcome
     std::vector<unsigned> extMap;
 };
 
-/** Per-tier max-entry bounds for the four EstimateCache tiers (coarse
+/** Per-tier max-entry bounds for the three EstimateCache tiers (coarse
  * LRU eviction; 0 = that tier unbounded). Lets operators size the
  * tiers independently — schedule/plan entries are an order of magnitude
  * larger than function QoRs, so one uniform cap either wastes memory or
@@ -60,15 +60,15 @@ struct BandPlanOutcome
 struct EstimateCacheTierCaps
 {
     size_t func = 0;
-    size_t band = 0;
     size_t schedule = 0;
     size_t plan = 0;
 };
 
 /** Parse a cache-cap spec: either one count applied to every tier
- * ("4096") or four colon-separated per-tier counts in
- * func:band:sched:plan order ("1024:4096:2048:8192", 0 = unbounded).
- * nullopt on malformed input. */
+ * ("4096") or three colon-separated per-tier counts in func:sched:plan
+ * order ("1024:2048:8192", 0 = unbounded). nullopt on malformed input,
+ * including any other field count and a count that does not fit in
+ * size_t. */
 std::optional<EstimateCacheTierCaps>
 parseEstimateCacheCaps(const std::string &spec);
 
@@ -80,15 +80,11 @@ parseEstimateCacheCaps(const std::string &spec);
  * missing (or worse, aliasing). */
 std::string digestHashFingerprint();
 
-/** Thread-safe four-tier estimate cache shared across concurrently
+/** Thread-safe three-tier estimate cache shared across concurrently
  * evaluating design points:
  *
  *  - the FUNCTION tier maps (function name, digest) keys to whole-
  *    function QoR estimates;
- *  - the BAND tier maps band digests to BandEstimate values, so points
- *    that differ only inside one band of a function still reuse the
- *    estimates of every other band (the band digest is self-contained,
- *    so digest-identical bands share even across functions);
  *  - the SCHEDULE tier maps PHASE-1 band digests (the content right
  *    after the per-band structural transforms, before cleanup and array
  *    partition) to BandScheduleEntry values — the band-incremental
@@ -129,29 +125,6 @@ class EstimateCache
     {
         cache_.insert(key, result);
     }
-
-    /** @name Band tier
-     * @p partition_masked tags lookups whose digest masked away a
-     * non-trivially partitioned layout dim (bandEstimateDigestInfo): a
-     * hit under such a key is one the PR 3 partition-sensitive keying
-     * would have missed, counted separately in bandStats().maskedHits. */
-    ///@{
-    std::optional<BandEstimate>
-    lookupBand(const std::string &digest,
-               bool partition_masked = false) const
-    {
-        auto result = bands_.lookup(digest);
-        if (result && partition_masked)
-            masked_band_hits_.fetch_add(1, std::memory_order_relaxed);
-        return result;
-    }
-
-    void
-    insertBand(const std::string &digest, const BandEstimate &estimate)
-    {
-        bands_.insert(digest, estimate);
-    }
-    ///@}
 
     /** @name Schedule tier (incremental materialization)
      * @p origin (optional, "func#bandIndex") identifies the consumer: a
@@ -202,7 +175,6 @@ class EstimateCache
     setTierMaxEntries(const EstimateCacheTierCaps &caps)
     {
         cache_.setMaxEntries(caps.func);
-        bands_.setMaxEntries(caps.band);
         schedules_.setMaxEntries(caps.schedule);
         plans_.setMaxEntries(caps.plan);
     }
@@ -221,12 +193,6 @@ class EstimateCache
     }
     template <typename Fn>
     void
-    forEachBand(Fn &&fn) const
-    {
-        bands_.forEach(std::forward<Fn>(fn));
-    }
-    template <typename Fn>
-    void
     forEachSchedule(Fn &&fn) const
     {
         schedules_.forEach(std::forward<Fn>(fn));
@@ -240,18 +206,15 @@ class EstimateCache
     ///@}
 
     /** @name Statistics (delegated to the sharded tiers).
-     * One snapshot per tier; the band tier's also carries maskedHits. */
+     * One snapshot per tier. */
     ///@{
     /** Function-tier entries. */
     size_t size() const { return cache_.size(); }
     CacheStats funcStats() const { return cache_.stats(); }
-    CacheStats
-    bandStats() const
-    {
-        CacheStats stats = bands_.stats();
-        stats.maskedHits = masked_band_hits_.load(std::memory_order_relaxed);
-        return stats;
-    }
+    /** Always empty (there is no band tier). The performance ledger
+     * (bench/ledger/bench_ledger.cc) still reports it, so its
+     * estimate.band_* counters read 0. */
+    CacheStats bandStats() const { return CacheStats{}; }
     CacheStats scheduleStats() const { return schedules_.stats(); }
     /** Schedule-tier hits whose entry was recorded under a different
      * origin than the consumer's — entry sharing across symmetric bands
@@ -267,19 +230,15 @@ class EstimateCache
     clear()
     {
         cache_.clear();
-        bands_.clear();
         schedules_.clear();
         plans_.clear();
-        masked_band_hits_.store(0, std::memory_order_relaxed);
         cross_band_hits_.store(0, std::memory_order_relaxed);
     }
 
   private:
     ConcurrentCache<std::string, QoRResult> cache_;
-    ConcurrentCache<std::string, BandEstimate> bands_;
     ConcurrentCache<std::string, BandScheduleEntry> schedules_;
     ConcurrentCache<std::string, BandPlanOutcome> plans_;
-    mutable std::atomic<size_t> masked_band_hits_{0};
     mutable std::atomic<size_t> cross_band_hits_{0};
 };
 

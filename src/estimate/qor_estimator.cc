@@ -442,22 +442,6 @@ QoREstimator::estimateBand(Operation *band_root, EstimateContext &ctx)
     if (it != ctx.bands.end())
         return it->second;
 
-    // Band tier of the shared cache: content-keyed by the band digest
-    // (partition-aware — irrelevant layout dims masked), so a
-    // hit is value-identical to the computation below.
-    std::string key;
-    if (shared_) {
-        if (auto digest = bandEstimateDigestInfo(
-                band_root, /*mask_partitions=*/true)) {
-            ctx.relevance[band_root] = std::move(digest->relevance);
-            key = digest->digest;
-            if (auto cached =
-                    shared_->lookupBand(key, digest->partitionMasked))
-                return ctx.bands.emplace(band_root, *cached)
-                    .first->second;
-        }
-    }
-
     BandEstimate band;
     LoopEstimate loop = estimateLoop(band_root, ctx);
     band.latency = loop.latency;
@@ -466,9 +450,6 @@ QoREstimator::estimateBand(Operation *band_root, EstimateContext &ctx)
     std::vector<Operation *> nest = getLoopNest(band_root);
     band.memPortII = memoryPortII(band_root, bandIVs(nest));
     accountCompute(band_root, band);
-
-    if (!key.empty())
-        shared_->insertBand(key, band);
     return ctx.bands.emplace(band_root, std::move(band)).first->second;
 }
 
@@ -729,7 +710,6 @@ QoREstimator::estimateFunc(Operation *func)
     // Expose this run's band estimates (empty when the function tier hit
     // — the walk that fills them was skipped entirely).
     last_bands_ = std::move(ctx.bands);
-    last_relevance_ = std::move(ctx.relevance);
 
     cache_.emplace(func, result);
     // Adopt the callee results completed along the way.
@@ -944,8 +924,7 @@ composeScheduledQoR(const ScheduledFunction &function)
 
 std::optional<BandScheduleEntry>
 buildBandScheduleEntry(Operation *band_root, const BandEstimate &estimate,
-                       const std::vector<Value *> &externals,
-                       const PartitionRelevance *relevance)
+                       const std::vector<Value *> &externals)
 {
     BandScheduleEntry entry;
     entry.estimate = estimate;
@@ -969,11 +948,7 @@ buildBandScheduleEntry(Operation *band_root, const BandEstimate &estimate,
     for (auto &[memref, group] : groupByMemRef(band_accesses))
         contribution[memref] = computePartitionPlan(memref, group);
 
-    PartitionRelevance computed;
-    if (!relevance) {
-        computed = partitionRelevantDims(band_root);
-        relevance = &computed;
-    }
+    PartitionRelevance relevance = partitionRelevantDims(band_root);
 
     std::set<Value *> memrefs;
     for (const auto &[memref, flags] : touched)
@@ -997,8 +972,8 @@ buildBandScheduleEntry(Operation *band_root, const BandEstimate &estimate,
             info.read = it->second.first;
             info.write = it->second.second;
         }
-        if (auto it = relevance->find(memref);
-            it != relevance->end() && it->second.size() == rank)
+        if (auto it = relevance.find(memref);
+            it != relevance.end() && it->second.size() == rank)
             info.relevant = it->second;
         else
             info.relevant.assign(rank, false);

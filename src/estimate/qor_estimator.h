@@ -71,18 +71,11 @@ std::vector<Operation *> collectDistinctCallees(Operation *func,
 struct BandDigestInfo
 {
     std::string digest;
-    /** True when at least one NON-TRIVIALLY partitioned layout dim was
-     * masked out of the digest — a hit under this key would have missed
-     * under the partition-sensitive (PR 3) keying. */
-    bool partitionMasked = false;
     /** Every value defined outside the band, in serializer-id order:
      * digest-equal bands assign identical ids, so an id recorded against
      * one band instance resolves to the corresponding value of any
      * other. */
     std::vector<Value *> externals;
-    /** The band's partitionRelevantDims, computed for the masked digest
-     * (empty when @p mask_partitions was clear). */
-    PartitionRelevance relevance;
 };
 
 /** Canonical estimate digest of one top-level loop band: the band's op
@@ -90,15 +83,8 @@ struct BandDigestInfo
  * value defined OUTSIDE the band, its type and enough of its definition
  * (constant value / alloc / argument) to make the digest
  * content-determined. Two bands with equal digests are guaranteed to
- * estimate identically, even across different functions.
- *
- * With @p mask_partitions set (the default), an external memref's layout
- * is digested PER DIMENSION and only along dims the band's estimate can
- * actually read (partitionRelevantDims): repartitioning an array along a
- * dim the band never separates banks on — the typical effect of retuning
- * a DIFFERENT band that shares the array — no longer changes this band's
- * key, so its cached estimate survives. With it clear, the full type
- * string (partition-sensitive, PR 3 behavior) is digested instead.
+ * estimate identically, even across different functions. External
+ * memrefs are digested by their full type, partition layout included.
  *
  * Returns nullopt when the band is not content-determined from the
  * serializer's point of view — it contains a func.call (the estimate
@@ -113,12 +99,10 @@ struct BandDigestInfo
  * the band's stores — depends on the buffer's users in OTHER bands,
  * which the band's own subtree cannot see. */
 std::optional<BandDigestInfo> bandEstimateDigestInfo(
-    Operation *band_root, bool mask_partitions = true,
-    const AllocOwnershipInfo *ownership = nullptr);
+    Operation *band_root, const AllocOwnershipInfo *ownership = nullptr);
 
 /** Digest-only convenience wrapper over bandEstimateDigestInfo. */
-std::optional<std::string> bandEstimateDigest(
-    Operation *band_root, bool mask_partitions = true);
+std::optional<std::string> bandEstimateDigest(Operation *band_root);
 
 /** The reusable half of a band's PLAN key (plan-first evaluation): the
  * digest state of the PRISTINE band's serialization — including
@@ -154,8 +138,8 @@ std::string bandPlanKey(const BandPlanSeed &seed,
                         const std::vector<int64_t> &tiles,
                         int64_t target_ii);
 
-/** Self-contained estimate of one top-level loop band (the unit of the
- * band-level cache tier). Latency/interval/feasibility come from the
+/** Self-contained estimate of one top-level loop band (embedded in the
+ * schedule tier's entries). Latency/interval/feasibility come from the
  * band's loop composition; the resource side is kept DECOMPOSED — the
  * pipelined-leaf contributions are final, but sequential op counts and
  * per-kind profiles are merged at function level, because sequential
@@ -170,9 +154,9 @@ struct BandEstimate
      * band's induction variables). Today's sequential/dataflow
      * composition reads only latency + the resource account, but cache
      * entries deliberately stay self-contained — interval and port
-     * demand are what any future band-overlapping composition (or an
-     * external consumer of lookupBand) needs, and recomputing them later
-     * would require the IR the cache exists to avoid re-walking. */
+     * demand are what any future band-overlapping composition needs,
+     * and recomputing them later would require the IR the cache exists
+     * to avoid re-walking. */
     int64_t memPortII = 1;
     /** DSP/LUT of pipelined leaves inside the band (shared under each
      * leaf's achieved II; final, summable across bands). */
@@ -301,11 +285,8 @@ struct QoRResult
  *  - Cross-point reuse: pass a shared EstimateCache and per-function
  *    results are published under content-derived (name, digest) keys, so
  *    other DSE workers evaluating points with identical function content
- *    reuse them instead of re-walking the IR. The cache has a second,
- *    finer tier keyed by BAND digests: a design point that differs from
- *    an evaluated one only inside one band of a function still reuses
- *    the estimates of every other band of that function (and of
- *    digest-identical bands in any other function).
+ *    reuse them instead of re-walking the IR. A function-tier miss
+ *    walks every band of the function.
  *
  * The instance-level memo (estimateFunc results across public calls) is
  * still unsynchronized: share the EstimateCache across threads, not one
@@ -315,8 +296,7 @@ class QoREstimator
   public:
     /** @p pool (optional, not owned) fans callee estimation out;
      * @p shared (optional, not owned) is the cross-point cache, used at
-     * both its function tier and its band tier (partition-aware keys,
-     * see bandEstimateDigestInfo). */
+     * its function tier. */
     explicit QoREstimator(Operation *module, ThreadPool *pool = nullptr,
                           EstimateCache *shared = nullptr)
         : module_(module), pool_(pool), shared_(shared)
@@ -337,15 +317,6 @@ class QoREstimator
     const std::map<Operation *, BandEstimate> &lastBandEstimates() const
     {
         return last_bands_;
-    }
-
-    /** The partition relevance of the same run's bands, as their masked
-     * band-tier digests computed it (only bands keyed against the
-     * shared cache have an entry); buildBandScheduleEntry reuses it
-     * instead of running the analysis again. */
-    const std::map<Operation *, PartitionRelevance> &lastBandRelevance() const
-    {
-        return last_relevance_;
     }
 
     /** Drop memoized function estimates and digests (the shared
@@ -372,10 +343,8 @@ class QoREstimator
         std::map<Operation *, QoRResult> memo;
         /** Completed band estimates of this run, so the latency walk and
          * the resource walk of one function share a single band
-         * computation (and a single band-cache lookup). */
+         * computation. */
         std::map<Operation *, BandEstimate> bands;
-        /** The partition relevance each band's digest computed. */
-        std::map<Operation *, PartitionRelevance> relevance;
     };
 
     struct LoopEstimate
@@ -409,11 +378,7 @@ class QoREstimator
     int64_t opLatency(Operation *op, EstimateContext &ctx);
 
     /** The per-band core: latency/II of @p band_root plus the band's
-     * decomposed resource account, memoized in @p ctx and — for bands
-     * whose digest is content-determined — shared through the band tier
-     * of the EstimateCache. Cached values are exact copies of freshly
-     * computed ones, so results stay bit-identical to the uncached
-     * path. */
+     * decomposed resource account, memoized in @p ctx. */
     const BandEstimate &estimateBand(Operation *band_root,
                                      EstimateContext &ctx);
 
@@ -447,7 +412,6 @@ class QoREstimator
     EstimateDigests digests_;
     std::map<Operation *, QoRResult> cache_;
     std::map<Operation *, BandEstimate> last_bands_;
-    std::map<Operation *, PartitionRelevance> last_relevance_;
 };
 
 /** The function-level half of the resource model, shared between
@@ -495,15 +459,12 @@ std::optional<QoRResult> composeScheduledQoR(
 
 /** Build the schedule entry of @p band_root (a top-level band of a fully
  * materialized, fast-path-eligible function) from its final estimate and
- * the phase-1 external-value table @p externals. @p relevance, when
- * given, is the band's partitionRelevantDims as already computed (see
- * QoREstimator::lastBandRelevance); otherwise it is computed here.
- * Returns nullopt when the band's accesses cannot be mapped back onto
- * the phase-1 externals (the entry would not be replayable). */
+ * the phase-1 external-value table @p externals. Returns nullopt when
+ * the band's accesses cannot be mapped back onto the phase-1 externals
+ * (the entry would not be replayable). */
 std::optional<BandScheduleEntry> buildBandScheduleEntry(
     Operation *band_root, const BandEstimate &estimate,
-    const std::vector<Value *> &externals,
-    const PartitionRelevance *relevance = nullptr);
+    const std::vector<Value *> &externals);
 
 /** Memory port pressure (min II imposed by bank conflicts) of the accesses
  * inside @p scope, normalized over @p band_ivs. Shared helper for the

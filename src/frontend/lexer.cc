@@ -1,6 +1,7 @@
 #include "frontend/lexer.h"
 
 #include <cctype>
+#include <stdexcept>
 
 #include "support/utils.h"
 
@@ -133,6 +134,8 @@ class Lexer
     Token
     number()
     {
+        int line = line_;
+        int col = column_;
         std::string text;
         bool is_float = false;
         while (std::isdigit(peek()))
@@ -158,10 +161,18 @@ class Lexer
         Token tok = make(is_float ? TokKind::FloatLiteral
                                   : TokKind::IntLiteral,
                          text);
-        if (is_float)
-            tok.floatValue = std::stod(text);
-        else
-            tok.intValue = std::stoll(text);
+        // stod/stoll throw std::out_of_range past double / int64 range;
+        // that is a diagnostic, not an abort.
+        try {
+            if (is_float)
+                tok.floatValue = std::stod(text);
+            else
+                tok.intValue = std::stoll(text);
+        } catch (const std::out_of_range &) {
+            fatal("lexer: " + std::string(is_float ? "float" : "integer") +
+                  " literal out of range at line " + std::to_string(line) +
+                  ", column " + std::to_string(col));
+        }
         return tok;
     }
 

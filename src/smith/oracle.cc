@@ -226,7 +226,7 @@ runSmithOracle(const SmithSample &sample, const SmithOracleConfig &config)
     //    SCHEDULE tiers with zero IR.
     //  - blocked: every consulted plan is pre-seeded as non-composable,
     //    so both passes run full materializations, the warm replay over
-    //    the function and band tiers the cold pass filled.
+    //    the function tier the cold pass filled.
     std::vector<unsigned> thread_counts = {1};
     if (config.threads > 1)
         thread_counts.push_back(config.threads);

@@ -21,8 +21,8 @@
 namespace scalehls {
 
 /** A point-in-time statistics snapshot of one cache tier. Multi-tier
- * caches (e.g. the function/band EstimateCache) expose one snapshot per
- * tier so callers can report them side by side. */
+ * caches (e.g. the EstimateCache) expose one snapshot per tier so
+ * callers can report them side by side. */
 struct CacheStats
 {
     size_t hits = 0;
@@ -30,9 +30,6 @@ struct CacheStats
     size_t entries = 0;
     /** Entries dropped by the max-entry bound (0 when unbounded). */
     size_t evictions = 0;
-    /** Hits whose key masked away partition-layout dims the consumer
-     * never reads (band tier of the EstimateCache; 0 elsewhere). */
-    size_t maskedHits = 0;
 
     size_t lookups() const { return hits + misses; }
     double

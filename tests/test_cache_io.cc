@@ -1,16 +1,22 @@
 /** @file Tests for the estimate-cache snapshot format (cache_io): exact
- * round-trips of all four tiers through encode/decode and save/load,
+ * round-trips of all three tiers through encode/decode and save/load,
  * deterministic snapshot bytes, wholesale rejection of version- or
- * digest-schema-mismatched snapshots, corrupt/truncated files degrading
- * to a clean cold start (never a crash, never a partial payload), the
+ * digest-schema-mismatched snapshots (including a committed snapshot of
+ * the retired four-tier format), corrupt/truncated files degrading to a
+ * clean cold start (never a crash, never a partial payload), the
  * stats-baseline guarantee (loading inserts entries without recording
  * lookups), and the per-tier cap plumbing behind -dse-cache-cap. */
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <sstream>
 
+#include "api/explore_request.h"
+#include "api/scalehls.h"
 #include "estimate/cache_io.h"
 #include "estimate/estimate_cache.h"
 
@@ -96,8 +102,6 @@ populate(EstimateCache &cache, int entries = 3)
         cache.insert(EstimateCache::keyFor("func" + std::to_string(i),
                                            "d" + std::to_string(i)),
                      sampleQoR(i));
-        cache.insertBand("band-digest-" + std::to_string(i),
-                         sampleBand(i + 10));
         cache.insertSchedule("phase1-digest-" + std::to_string(i),
                              sampleSchedule(i + 20));
         cache.insertPlan("plan-key-" + std::to_string(i),
@@ -163,7 +167,7 @@ expectEqual(const BandScheduleEntry &a, const BandScheduleEntry &b)
     }
 }
 
-TEST(CacheIOTest, RoundTripAllFourTiers)
+TEST(CacheIOTest, RoundTripAllThreeTiers)
 {
     EstimateCache cache;
     populate(cache);
@@ -173,21 +177,15 @@ TEST(CacheIOTest, RoundTripAllFourTiers)
     CacheLoadResult result = decodeEstimateCache(restored, bytes);
     ASSERT_EQ(result.status, CacheLoadStatus::Loaded);
     EXPECT_EQ(result.funcEntries, 3u);
-    EXPECT_EQ(result.bandEntries, 3u);
     EXPECT_EQ(result.scheduleEntries, 3u);
     EXPECT_EQ(result.planEntries, 3u);
-    EXPECT_EQ(result.totalEntries(), 12u);
+    EXPECT_EQ(result.totalEntries(), 9u);
 
     for (int i = 0; i < 3; ++i) {
         auto qor = restored.lookup(EstimateCache::keyFor(
             "func" + std::to_string(i), "d" + std::to_string(i)));
         ASSERT_TRUE(qor.has_value());
         expectEqual(*qor, sampleQoR(i));
-
-        auto band =
-            restored.lookupBand("band-digest-" + std::to_string(i));
-        ASSERT_TRUE(band.has_value());
-        expectEqual(*band, sampleBand(i + 10));
 
         auto schedule =
             restored.lookupSchedule("phase1-digest-" + std::to_string(i));
@@ -241,7 +239,6 @@ TEST(CacheIOTest, LoadNeverTouchesStatsBaselines)
     // books: every hit-rate report measures this run only.
     EXPECT_EQ(restored.funcStats().entries, 3u);
     EXPECT_EQ(restored.funcStats().lookups(), 0u);
-    EXPECT_EQ(restored.bandStats().lookups(), 0u);
     EXPECT_EQ(restored.scheduleStats().lookups(), 0u);
     EXPECT_EQ(restored.planStats().lookups(), 0u);
 
@@ -298,7 +295,7 @@ TEST(CacheIOTest, TruncatedSnapshotIsCleanColdStart)
         EXPECT_EQ(result.status, CacheLoadStatus::Corrupt)
             << "cut at " << cut;
         EXPECT_EQ(restored.size(), 0u);
-        EXPECT_FALSE(restored.lookupBand("band-digest-0"));
+        EXPECT_FALSE(restored.lookupSchedule("phase1-digest-0"));
     }
 }
 
@@ -345,7 +342,7 @@ TEST(CacheIOTest, SaveLoadRoundTripsThroughDisk)
     EstimateCache restored;
     CacheLoadResult result = loadEstimateCache(restored, path);
     EXPECT_EQ(result.status, CacheLoadStatus::Loaded);
-    EXPECT_EQ(result.totalEntries(), 20u);
+    EXPECT_EQ(result.totalEntries(), 15u);
     auto schedule = restored.lookupSchedule("phase1-digest-4");
     ASSERT_TRUE(schedule.has_value());
     expectEqual(*schedule, sampleSchedule(24));
@@ -387,6 +384,47 @@ TEST(CacheIOTest, LoadIsFirstWriterWinsAgainstExistingEntries)
     expectEqual(*qor, sampleQoR(99));
 }
 
+TEST(CacheIOTest, FourTierSnapshotIsRejectedAndDSERunsCold)
+{
+    // tests/data/gemm8_v1.shlsnap is a format-version-1 snapshot (func,
+    // band, schedule and plan sections), written by
+    //   scalehls-opt gemm8.c -dse -dse-samples=4 -dse-iterations=4
+    //     -dse-threads=1 -cache-save=gemm8_v1.shlsnap
+    // before the band tier was removed. It must be rejected wholesale,
+    // and the same DSE then runs cold to the QoR that run reported.
+    const std::string data = SCALEHLS_TEST_DATA_DIR;
+    EstimateCache cache;
+    CacheLoadResult result =
+        loadEstimateCache(cache, data + "/gemm8_v1.shlsnap");
+    EXPECT_EQ(result.status, CacheLoadStatus::VersionMismatch);
+    EXPECT_EQ(result.message, "snapshot format version 1 != supported 2");
+    EXPECT_EQ(result.totalEntries(), 0u);
+    EXPECT_EQ(cache.size(), 0u);
+
+    std::ifstream file(data + "/gemm8.c");
+    ASSERT_TRUE(file);
+    std::ostringstream source;
+    source << file.rdbuf();
+
+    ExploreRequest request;
+    std::string error;
+    for (const char *flag :
+         {"-dse-samples=4", "-dse-iterations=4", "-dse-threads=1"})
+        ASSERT_TRUE(parseExploreFlag(request, flag, &error)) << flag;
+    ASSERT_TRUE(error.empty()) << error;
+    ASSERT_FALSE(request.validate());
+    request.dse.sharedEstimates = &cache;
+    Compiler compiler = Compiler::fromC(source.str());
+    auto dse = compiler.optimize(request);
+    ASSERT_TRUE(dse);
+    EXPECT_EQ(dse->planComposed, 0u); // Cold: nothing came from disk.
+    EXPECT_EQ(dse->qor.latency, 563);
+    EXPECT_EQ(dse->qor.interval, 563);
+    EXPECT_EQ(dse->qor.resources.dsp, 43);
+    EXPECT_EQ(dse->qor.resources.lut, 2750);
+    EXPECT_EQ(dse->qor.resources.bram18k, 0);
+}
+
 TEST(CacheIOTest, SaltCoversDigestHashFingerprint)
 {
     std::string salt = cacheSnapshotSalt();
@@ -415,29 +453,39 @@ TEST(CacheIOTest, ParseEstimateCacheCaps)
     auto uniform = parseEstimateCacheCaps("4096");
     ASSERT_TRUE(uniform.has_value());
     EXPECT_EQ(uniform->func, 4096u);
-    EXPECT_EQ(uniform->band, 4096u);
     EXPECT_EQ(uniform->schedule, 4096u);
     EXPECT_EQ(uniform->plan, 4096u);
 
-    auto tiers = parseEstimateCacheCaps("1024:4096:0:8192");
+    auto tiers = parseEstimateCacheCaps("1024:0:8192");
     ASSERT_TRUE(tiers.has_value());
     EXPECT_EQ(tiers->func, 1024u);
-    EXPECT_EQ(tiers->band, 4096u);
     EXPECT_EQ(tiers->schedule, 0u);
     EXPECT_EQ(tiers->plan, 8192u);
 
     auto zero = parseEstimateCacheCaps("0");
     ASSERT_TRUE(zero.has_value());
     EXPECT_EQ(zero->func, 0u);
-    EXPECT_EQ(zero->band, 0u);
     EXPECT_EQ(zero->schedule, 0u);
     EXPECT_EQ(zero->plan, 0u);
 
+    auto largest = parseEstimateCacheCaps("18446744073709551615");
+    ASSERT_TRUE(largest.has_value());
+    EXPECT_EQ(largest->plan, SIZE_MAX);
+
     EXPECT_FALSE(parseEstimateCacheCaps(""));
     EXPECT_FALSE(parseEstimateCacheCaps("1:2"));
+    // The retired func:band:sched:plan spec is rejected, not reread.
+    EXPECT_FALSE(parseEstimateCacheCaps("1024:4096:0:8192"));
     EXPECT_FALSE(parseEstimateCacheCaps("1:2:3:4:5"));
-    EXPECT_FALSE(parseEstimateCacheCaps("a:2:3:4"));
+    EXPECT_FALSE(parseEstimateCacheCaps("a:2:3"));
+    EXPECT_FALSE(parseEstimateCacheCaps("1::3"));
+    EXPECT_FALSE(parseEstimateCacheCaps("1:2:"));
     EXPECT_FALSE(parseEstimateCacheCaps("-1"));
+    EXPECT_FALSE(parseEstimateCacheCaps("+1"));
+    // A count past size_t is malformed, never thrown or wrapped.
+    EXPECT_FALSE(parseEstimateCacheCaps("99999999999999999999"));
+    EXPECT_FALSE(parseEstimateCacheCaps("18446744073709551616"));
+    EXPECT_FALSE(parseEstimateCacheCaps("1:99999999999999999999:3"));
 }
 
 TEST(CacheIOTest, PerTierCapsEvictIndependently)
@@ -457,11 +505,11 @@ TEST(CacheIOTest, PerTierCapsEvictIndependently)
     EXPECT_EQ(cache.funcStats().evictions, 0u);
     EXPECT_GT(cache.planStats().evictions, 0u);
     EXPECT_LT(cache.planStats().entries, 64u);
-    // Band/schedule tiers stay unbounded.
+    // The schedule tier stays unbounded.
     for (int i = 0; i < 64; ++i)
-        cache.insertBand("b" + std::to_string(i), sampleBand(i));
-    EXPECT_EQ(cache.bandStats().entries, 64u);
-    EXPECT_EQ(cache.bandStats().evictions, 0u);
+        cache.insertSchedule("s" + std::to_string(i), sampleSchedule(i));
+    EXPECT_EQ(cache.scheduleStats().entries, 64u);
+    EXPECT_EQ(cache.scheduleStats().evictions, 0u);
 }
 
 } // namespace

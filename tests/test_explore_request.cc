@@ -45,8 +45,6 @@ expectRequestsEqual(const ExploreRequest &a, const ExploreRequest &b,
     EXPECT_EQ(a.dse.auditMode, b.dse.auditMode);
     EXPECT_EQ(a.dse.estimateCacheTierCaps.func,
               b.dse.estimateCacheTierCaps.func);
-    EXPECT_EQ(a.dse.estimateCacheTierCaps.band,
-              b.dse.estimateCacheTierCaps.band);
     EXPECT_EQ(a.dse.estimateCacheTierCaps.schedule,
               b.dse.estimateCacheTierCaps.schedule);
     EXPECT_EQ(a.dse.estimateCacheTierCaps.plan,
@@ -84,20 +82,20 @@ TEST(ExploreRequest, FlagJsonAndDirectDecodeToIdenticalOptions)
         {"-dse-budget=vu9p-slr", "-dse-model=vgg16",
          "-dse-graph-level=3", "-dse-threads=2", "-dse-batch=4",
          "-dse-seed=99", "-dse-samples=10", "-dse-iterations=20",
-         "-dse-cache=0", "-dse-cache-cap=64:128:256:512",
+         "-dse-cache=0", "-dse-cache-cap=64:256:512",
          "-dse-audit=1"});
 
     ExploreRequest json = fromJsonText(
         "{\"budget\":\"vu9p-slr\",\"model\":\"vgg16\","
         "\"graph_level\":3,\"threads\":2,\"batch\":4,\"seed\":99,"
         "\"samples\":10,\"iterations\":20,\"cache\":false,"
-        "\"cache_cap\":\"64:128:256:512\",\"audit\":1}");
+        "\"cache_cap\":\"64:256:512\",\"audit\":1}");
 
     ExploreRequest direct;
     direct.budgetSpec = "vu9p-slr";
     direct.model = "vgg16";
     direct.graphLevel = 3;
-    direct.cacheCapSpec = "64:128:256:512";
+    direct.cacheCapSpec = "64:256:512";
     direct.dse.numThreads = 2;
     direct.dse.batchSize = 4;
     direct.dse.seed = 99;
@@ -116,6 +114,7 @@ TEST(ExploreRequest, FlagJsonAndDirectDecodeToIdenticalOptions)
     // validate() resolved the specs into real values.
     EXPECT_EQ(cli.budget.name, "vu9p-slr");
     EXPECT_EQ(cli.dse.estimateCacheTierCaps.func, 64u);
+    EXPECT_EQ(cli.dse.estimateCacheTierCaps.schedule, 256u);
     EXPECT_EQ(cli.dse.estimateCacheTierCaps.plan, 512u);
 }
 
@@ -206,12 +205,17 @@ TEST(ExploreRequest, MalformedInputsRejectedIdenticallyEverywhere)
         expectSameDiagnostic("-dse-graph-level=9", "{\"graph_level\":9}",
                              direct, "graph level must be in 1..7, got 9");
     }
-    {
+    // Two fields, the retired four-field func:band:sched:plan spec and
+    // a count past size_t are all malformed.
+    for (const std::string spec :
+         {"1:2", "1:2:3:4", "99999999999999999999"}) {
         ExploreRequest direct;
-        direct.cacheCapSpec = "1:2";
+        direct.cacheCapSpec = spec;
         expectSameDiagnostic(
-            "-dse-cache-cap=1:2", "{\"cache_cap\":\"1:2\"}", direct,
-            "cache cap must be <n> or func:band:sched:plan, got '1:2'");
+            "-dse-cache-cap=" + spec,
+            "{\"cache_cap\":\"" + spec + "\"}", direct,
+            "cache cap must be <n> or func:sched:plan, got '" + spec +
+                "'");
     }
     {
         ExploreRequest direct;
@@ -296,6 +300,34 @@ TEST(PassOptions, WellFormedValuesDecode)
     EXPECT_EQ(sizes, (std::vector<int64_t>{1, 2, 16}));
     EXPECT_EQ(decodeFlagIntList("-affine-loop-tile", "", sizes), "");
     EXPECT_TRUE(sizes.empty());
+}
+
+TEST(ServeFlags, CountsAndCacheCapGetTheSharedDiagnostics)
+{
+    // scalehls-serve's --dispatch/--threads (unsigned) and --cache-cap
+    // go through the same decoders: "abc" no longer means 1 thread, and
+    // an overflowing cap is a diagnostic, not an uncaught stoull.
+    const int64_t max_unsigned = std::numeric_limits<unsigned>::max();
+    int64_t count = 7;
+    EXPECT_EQ(decodeFlagInt("--threads", "abc", count, max_unsigned),
+              "--threads expects an unsigned integer, got 'abc'");
+    EXPECT_EQ(decodeFlagInt("--dispatch", "4294967296", count, max_unsigned),
+              "--dispatch expects an unsigned integer, got '4294967296'");
+    EXPECT_EQ(count, 7);
+    EXPECT_EQ(decodeFlagInt("--threads", "4294967295", count, max_unsigned),
+              "");
+    EXPECT_EQ(count, max_unsigned);
+
+    EstimateCacheTierCaps caps;
+    caps.func = 7;
+    EXPECT_EQ(decodeCacheCaps("99999999999999999999", caps),
+              "cache cap must be <n> or func:sched:plan, got "
+              "'99999999999999999999'");
+    EXPECT_EQ(caps.func, 7u);
+    EXPECT_EQ(decodeCacheCaps("1:2:3", caps), "");
+    EXPECT_EQ(caps.func, 1u);
+    EXPECT_EQ(caps.schedule, 2u);
+    EXPECT_EQ(caps.plan, 3u);
 }
 
 TEST(ExploreRequest, BareAuditFlagArmsAuditors)

@@ -43,6 +43,21 @@ TEST(Lexer, SkipsCommentsAndPragmas)
 TEST(Lexer, RejectsGarbage)
 {
     EXPECT_THROW(tokenize("void f() { $ }"), FatalError);
+
+    // Numeric literals past int64 / double range are diagnostics, not
+    // std::out_of_range aborts.
+    auto diagnostic = [](const std::string &source) {
+        try {
+            tokenize(source);
+        } catch (const FatalError &error) {
+            return std::string(error.what());
+        }
+        return std::string("no error");
+    };
+    EXPECT_EQ(diagnostic("A[i] = A[i]*99999999999999999999;"),
+              "lexer: integer literal out of range at line 1, column 13");
+    EXPECT_EQ(diagnostic("x =\n 1" + std::string(400, '0') + ".0;"),
+              "lexer: float literal out of range at line 2, column 2");
 }
 
 TEST(Parser, FunctionAndParams)

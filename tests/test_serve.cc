@@ -431,6 +431,26 @@ TEST(ServeTest, BadKernelIndexAndSizeAreRejectedWithoutSideEffects)
     EXPECT_EQ(session.completedRequests(), 2u);
 }
 
+TEST(ServeTest, MalformedCacheCapIsAnErrorReply)
+{
+    // An overflowing count and the retired four-field spec both answer
+    // with the shared cache-cap diagnostic; the session keeps serving.
+    ServeSession session(isolatedOptions());
+    for (const char *spec : {"99999999999999999999", "1:2:3:4"}) {
+        JsonValue reply = parsed(session.handleLine(
+            std::string("{\"id\":1,\"kind\":\"polybench\","
+                        "\"kernel\":\"gemm\",\"cache_cap\":\"") +
+            spec + "\"}"));
+        EXPECT_FALSE(boolAt(reply, "ok"));
+        ASSERT_NE(reply.get("error"), nullptr);
+        EXPECT_EQ(reply.get("error")->string,
+                  std::string("cache cap must be <n> or func:sched:plan, "
+                              "got '") +
+                      spec + "'");
+    }
+    EXPECT_TRUE(boolAt(parsed(session.handleLine(gemmRequest(2, 3))), "ok"));
+}
+
 TEST(ServeTest, FeasibleRepliesNeverCarryTheInfeasibleSentinel)
 {
     // "feasible" is the answered QoR's own flag. trmm at 1 once answered

@@ -217,7 +217,7 @@ while read -r pr sections; do
     } > "$out"
     echo "wrote $out"
 done <<'TABLE'
-pr4 parallel_dse:bench_parallel_dse:parallel_dse estimator_scaling:bench_estimator:estimator band_cache:bench_estimator:estimator_band_cache incremental_materialize:bench_estimator:estimator_materialize partition_aware_keys:bench_estimator:estimator_band_keys
+pr4 parallel_dse:bench_parallel_dse:parallel_dse estimator_scaling:bench_estimator:estimator band_sweeps:bench_estimator:estimator_sweep incremental_materialize:bench_estimator:estimator_materialize
 pr5 dnn_fast_path:bench_estimator:estimator_dnn
 pr6 probe:bench_estimator:estimator_probe
 pr7 audit:bench_estimator:estimator_audit

@@ -21,6 +21,7 @@
 #include <cstdio>
 #include <cstring>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -31,6 +32,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include "api/explore_request.h"
 #include "api/serve.h"
 #include "support/thread_pool.h"
 
@@ -54,7 +56,7 @@ usage(const char *argv0)
         "  --cache-save PATH    snapshot path saved on shutdown\n"
         "  --snapshot-every N   also save every N completed requests\n"
         "  --cache-cap SPEC     cache bound: one count for all tiers or\n"
-        "                       func:band:sched:plan\n"
+        "                       func:sched:plan\n"
         "Both cache paths default to\n"
         "$SCALEHLS_CACHE_DIR/estimate_cache.shlsnap when that is set.\n"
         "Protocol: one JSON request per line (see api/serve.h).\n",
@@ -247,30 +249,41 @@ main(int argc, char **argv)
         }
         return argv[++i];
     };
+    // Numeric flags and the cache cap decode through the checked
+    // decoders scalehls-opt uses: a malformed value exits 2 with their
+    // diagnostic.
+    auto exit_on = [](const std::string &error) {
+        if (!error.empty()) {
+            std::fprintf(stderr, "%s\n", error.c_str());
+            std::exit(2);
+        }
+    };
+    auto count_of = [&](int &i,
+                        int64_t max = std::numeric_limits<int64_t>::max()) {
+        const char *name = argv[i];
+        int64_t count = 0;
+        exit_on(decodeFlagInt(name, value_of(i), count, max));
+        return count;
+    };
+    const int64_t max_unsigned = std::numeric_limits<unsigned>::max();
 
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
         if (arg == "--socket") {
             socket_path = value_of(i);
         } else if (arg == "--dispatch") {
-            dispatch = static_cast<unsigned>(std::atoi(value_of(i)));
+            dispatch = static_cast<unsigned>(count_of(i, max_unsigned));
         } else if (arg == "--threads") {
             options.defaultThreads =
-                static_cast<unsigned>(std::atoi(value_of(i)));
+                static_cast<unsigned>(count_of(i, max_unsigned));
         } else if (arg == "--cache-load") {
             options.cacheLoadPath = value_of(i);
         } else if (arg == "--cache-save") {
             options.cacheSavePath = value_of(i);
         } else if (arg == "--snapshot-every") {
-            options.snapshotEvery =
-                static_cast<size_t>(std::atoll(value_of(i)));
+            options.snapshotEvery = static_cast<size_t>(count_of(i));
         } else if (arg == "--cache-cap") {
-            auto caps = parseEstimateCacheCaps(value_of(i));
-            if (!caps) {
-                std::fprintf(stderr, "bad --cache-cap spec\n");
-                return 2;
-            }
-            options.tierCaps = *caps;
+            exit_on(decodeCacheCaps(value_of(i), options.tierCaps));
         } else if (arg == "-h" || arg == "--help") {
             return usage(argv[0]);
         } else {
