@@ -52,37 +52,27 @@ makeAccess(Operation *op, const std::vector<Value *> &band_ivs)
     access.isWrite = isMemoryWrite(op);
     access.normalized = true;
 
-    AffineMap map;
-    std::vector<Value *> operands;
-    if (op->is(ops::AffineLoad)) {
-        AffineLoadOp load(op);
-        map = load.map();
-        operands = load.mapOperands();
-    } else if (op->is(ops::AffineStore)) {
-        AffineStoreOp store(op);
-        map = store.map();
-        operands = store.mapOperands();
-    } else {
-        // memref.load/store: identity subscripts.
-        unsigned first = op->is(ops::MemLoad) ? 1 : 2;
-        for (unsigned i = first; i < op->numOperands(); ++i)
-            operands.push_back(op->operand(i));
-        map = AffineMap::identity(operands.size());
-    }
-
-    std::vector<AffineExpr> dim_repls(operands.size());
-    for (unsigned i = 0; i < operands.size(); ++i) {
-        auto expr = operandExpr(operands[i], band_ivs);
+    // Subscript operands follow the memref (and a store's value).
+    unsigned first = access.isWrite ? 2 : 1;
+    std::vector<AffineExpr> dim_repls(op->numOperands() - first);
+    for (unsigned i = 0; i < dim_repls.size(); ++i) {
+        auto expr = operandExpr(op->operand(first + i), band_ivs);
         if (!expr) {
             access.normalized = false;
             dim_repls[i] = getAffineDimExpr(i);
         } else {
-            dim_repls[i] = *expr;
+            dim_repls[i] = std::move(*expr);
         }
     }
+    if (!op->is(ops::AffineLoad) && !op->is(ops::AffineStore)) {
+        // memref.load/store: identity subscripts.
+        access.indices = std::move(dim_repls);
+        return access;
+    }
+    const AffineMap &map = op->attr(kMap).getAffineMap();
+    access.indices.reserve(map.numResults());
     for (const auto &result : map.results())
-        access.indices.push_back(
-            result.replaceDimsAndSymbols(dim_repls));
+        access.indices.push_back(result.replaceDimsAndSymbols(dim_repls));
     return access;
 }
 
@@ -129,6 +119,57 @@ collectAccesses(Operation *scope, const std::vector<Value *> &band_ivs)
     return accesses;
 }
 
+const AccessTable::Entry *
+AccessTable::find(Operation *scope, const std::vector<Value *> &ivs) const
+{
+    auto it = entries_.find(scope);
+    if (it == entries_.end())
+        return nullptr;
+    for (const auto &entry : it->second)
+        if (entry->ivs == ivs)
+            return entry.get();
+    return nullptr;
+}
+
+const std::vector<MemAccess> &
+AccessTable::get(Operation *scope, const std::vector<Value *> &ivs)
+{
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        if (const Entry *entry = find(scope, ivs))
+            return entry->accesses;
+    }
+    // Build outside the lock; should two threads race on one key, the
+    // first insert wins (both built the same content).
+    auto built = std::make_unique<Entry>();
+    built->ivs = ivs;
+    built->accesses = collectAccesses(scope, ivs);
+    std::lock_guard<std::mutex> lock(mutex_);
+    ++builds_;
+    if (const Entry *entry = find(scope, ivs))
+        return entry->accesses;
+    auto &slot = entries_[scope];
+    slot.push_back(std::move(built));
+    return slot.back()->accesses;
+}
+
+size_t
+AccessTable::builds() const
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    return builds_;
+}
+
+size_t
+AccessTable::size() const
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    size_t size = 0;
+    for (const auto &[scope, entries] : entries_)
+        size += entries.size();
+    return size;
+}
+
 std::optional<LinearSubscriptKey>
 linearSubscriptKey(const MemAccess &access)
 {
@@ -155,18 +196,18 @@ LinearSubscriptKeyHash::operator()(const LinearSubscriptKey &key) const
     return static_cast<size_t>(h ^ (h >> 29));
 }
 
-std::vector<std::pair<Value *, std::vector<MemAccess>>>
+std::vector<std::pair<Value *, AccessGroup>>
 groupByMemRef(const std::vector<MemAccess> &accesses)
 {
-    std::vector<std::pair<Value *, std::vector<MemAccess>>> groups;
+    std::vector<std::pair<Value *, AccessGroup>> groups;
     for (const MemAccess &access : accesses) {
         auto it = std::find_if(groups.begin(), groups.end(), [&](auto &g) {
             return g.first == access.memref;
         });
         if (it == groups.end()) {
-            groups.push_back({access.memref, {access}});
+            groups.push_back({access.memref, {&access}});
         } else {
-            it->second.push_back(access);
+            it->second.push_back(&access);
         }
     }
     return groups;
@@ -197,22 +238,22 @@ namespace {
 /** Deduplicate accesses by (structurally equal) subscript vector,
  * bucketed by hash; non-normalized accesses are always considered
  * unique. First occurrences keep their order. */
-std::vector<const MemAccess *>
-uniqueAccesses(const std::vector<MemAccess> &accesses)
+AccessGroup
+uniqueAccesses(const AccessGroup &accesses)
 {
-    std::vector<const MemAccess *> unique;
-    std::unordered_map<uint64_t, std::vector<const MemAccess *>> seen;
-    for (const MemAccess &access : accesses) {
-        if (access.normalized) {
-            auto &bucket = seen[subscriptsHash(access)];
+    AccessGroup unique;
+    std::unordered_map<uint64_t, AccessGroup> seen;
+    for (const MemAccess *access : accesses) {
+        if (access->normalized) {
+            auto &bucket = seen[subscriptsHash(*access)];
             bool duplicate = false;
             for (const MemAccess *other : bucket)
-                duplicate = duplicate || sameSubscripts(*other, access);
+                duplicate = duplicate || sameSubscripts(*other, *access);
             if (duplicate)
                 continue;
-            bucket.push_back(&access);
+            bucket.push_back(access);
         }
-        unique.push_back(&access);
+        unique.push_back(access);
     }
     return unique;
 }
@@ -220,7 +261,7 @@ uniqueAccesses(const std::vector<MemAccess> &accesses)
 } // namespace
 
 PartitionPlan
-computePartitionPlan(Value *memref, const std::vector<MemAccess> &accesses)
+computePartitionPlan(Value *memref, const AccessGroup &accesses)
 {
     const auto &shape = memref->type().shape();
     unsigned rank = shape.size();
@@ -384,13 +425,12 @@ subscriptKey(const MemAccess &access)
 }
 
 std::vector<Recurrence>
-findRecurrences(const std::vector<Operation *> &band)
+findRecurrences(const std::vector<Operation *> &band, AccessTable &table)
 {
     std::vector<Recurrence> recurrences;
     if (band.empty())
         return recurrences;
-    auto ivs = bandIVs(band);
-    auto accesses = collectAccesses(band[0], ivs);
+    const auto &accesses = table.get(band[0], bandIVs(band));
 
     // Trip counts for flattened-distance computation.
     std::vector<int64_t> trips;
@@ -484,7 +524,7 @@ findRecurrences(const std::vector<Operation *> &band)
 }
 
 PartitionRelevance
-partitionRelevantDims(Operation *band_root)
+partitionRelevantDims(Operation *band_root, AccessTable &table)
 {
     PartitionRelevance relevant;
 
@@ -495,7 +535,7 @@ partitionRelevantDims(Operation *band_root)
     // constants among its normalized, rank-matching accesses — exactly
     // the pairs whose known difference is nonzero.
     auto scan = [&](Operation *scope, const std::vector<Value *> &ivs) {
-        auto accesses = collectAccesses(scope, ivs);
+        const auto &accesses = table.get(scope, ivs);
         // Per memref and dim: the first constant seen in each class.
         using PerDim = std::vector<std::unordered_map<int32_t, int64_t>>;
         std::unordered_map<Value *, PerDim> first;

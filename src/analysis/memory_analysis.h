@@ -10,8 +10,11 @@
 #define SCALEHLS_ANALYSIS_MEMORY_ANALYSIS_H
 
 #include <map>
+#include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -52,6 +55,50 @@ struct MemAccess
 std::vector<MemAccess> collectAccesses(Operation *scope,
                                        const std::vector<Value *> &band_ivs);
 
+/** The access analysis of one evaluation: collectAccesses of each
+ * (scope op, IV list) pair, built on first request and then shared by
+ * every consumer — the planner's partition merge, the band estimate,
+ * each pipelined leaf's II (port pressure and recurrences) and the
+ * schedule entry's partition relevance.
+ *
+ * The owner builds the table after the evaluation's last IR mutation
+ * and drops it when the evaluation ends: an entry goes stale when an op
+ * under its scope is erased or rewritten. Memref types may still change
+ * in between (array partition re-types values), because MemAccess never
+ * reads them. Thread-safe: the estimator's concurrent callee estimation
+ * shares one table; entries are built outside the lock. */
+class AccessTable
+{
+  public:
+    /** collectAccesses(@p scope, @p ivs), built once. The reference
+     * lives as long as the table. */
+    const std::vector<MemAccess> &get(Operation *scope,
+                                      const std::vector<Value *> &ivs);
+
+    /** collectAccesses calls so far: equal to size() unless two
+     * threads raced to build one entry. */
+    size_t builds() const;
+    /** Distinct (scope, IV list) pairs held. */
+    size_t size() const;
+
+  private:
+    struct Entry
+    {
+        std::vector<Value *> ivs;
+        std::vector<MemAccess> accesses;
+    };
+    /** The built entry of (@p scope, @p ivs), or null; mutex_ held. */
+    const Entry *find(Operation *scope,
+                      const std::vector<Value *> &ivs) const;
+
+    mutable std::mutex mutex_;
+    /** Per scope op, one entry per distinct IV list (rarely more than
+     * two: the band's nest IVs and a pipelined chain's). */
+    std::unordered_map<Operation *, std::vector<std::unique_ptr<Entry>>>
+        entries_;
+    size_t builds_ = 0;
+};
+
 /** The address key of a normalized access whose subscripts are all
  * linear: (class, constant) per dim. Equal keys of one collectAccesses
  * result mean identical addresses every iteration. */
@@ -74,8 +121,12 @@ bool sameSubscripts(const MemAccess &a, const MemAccess &b);
  * sameSubscripts hash equally. */
 uint64_t subscriptsHash(const MemAccess &access);
 
-/** Group accesses by accessed memref (deterministic order of first use). */
-std::vector<std::pair<Value *, std::vector<MemAccess>>>
+/** Accesses of one memref, pointing into a collectAccesses result. */
+using AccessGroup = std::vector<const MemAccess *>;
+
+/** Group accesses by accessed memref (deterministic order of first use).
+ * The groups point into @p accesses. */
+std::vector<std::pair<Value *, AccessGroup>>
 groupByMemRef(const std::vector<MemAccess> &accesses);
 
 /** Array partition fashions supported by downstream HLS tools. */
@@ -98,7 +149,7 @@ struct PartitionPlan
  * block otherwise, with the factor set to the unique-access count
  * (clamped to the dimension size). */
 PartitionPlan computePartitionPlan(Value *memref,
-                                   const std::vector<MemAccess> &accesses);
+                                   const AccessGroup &accesses);
 
 /** Encode a plan as the 2N-result affine layout map of paper Fig. 3:
  * results 0..N-1 are partition (bank) indices, results N..2N-1 physical
@@ -154,14 +205,16 @@ std::string subscriptKey(const MemAccess &access);
  * reads subscripts only — never layouts. One pass over each scope's
  * accesses. */
 using PartitionRelevance = std::map<Value *, std::vector<bool>>;
-PartitionRelevance partitionRelevantDims(Operation *band_root);
+PartitionRelevance partitionRelevantDims(Operation *band_root,
+                                         AccessTable &accesses);
 
-/** Find memory recurrences within @p band. Only equal-subscript pairs are
- * detected (the dominant recurrence pattern of reduction kernels);
+/** Find memory recurrences within @p band (its accesses over the band
+ * IVs, read from @p accesses). Only equal-subscript pairs are detected
+ * (the dominant recurrence pattern of reduction kernels);
  * non-normalizable accesses conservatively produce a distance-1
  * recurrence. */
-std::vector<Recurrence> findRecurrences(
-    const std::vector<Operation *> &band);
+std::vector<Recurrence> findRecurrences(const std::vector<Operation *> &band,
+                                        AccessTable &accesses);
 
 } // namespace scalehls
 

@@ -183,11 +183,11 @@ class AffineForOp
 
     Operation *op() const { return op_; }
 
-    AffineMap lowerBoundMap() const
+    const AffineMap &lowerBoundMap() const
     {
         return op_->attr(kLowerMap).getAffineMap();
     }
-    AffineMap upperBoundMap() const
+    const AffineMap &upperBoundMap() const
     {
         return op_->attr(kUpperMap).getAffineMap();
     }
@@ -298,7 +298,10 @@ class AffineLoadOp
     }
     Operation *op() const { return op_; }
     Value *memref() const { return op_->operand(0); }
-    AffineMap map() const { return op_->attr(kMap).getAffineMap(); }
+    const AffineMap &map() const
+    {
+        return op_->attr(kMap).getAffineMap();
+    }
     std::vector<Value *> mapOperands() const;
     Value *result() const { return op_->result(0); }
 
@@ -316,7 +319,10 @@ class AffineStoreOp
     Operation *op() const { return op_; }
     Value *value() const { return op_->operand(0); }
     Value *memref() const { return op_->operand(1); }
-    AffineMap map() const { return op_->attr(kMap).getAffineMap(); }
+    const AffineMap &map() const
+    {
+        return op_->attr(kMap).getAffineMap();
+    }
     std::vector<Value *> mapOperands() const;
 
   private:

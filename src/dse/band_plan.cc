@@ -380,6 +380,12 @@ BandPlanner::overlayEvaluate(const DesignSpace::Decoded &d,
             return out; // Cleanup dissolved the band: not replayable.
     }
 
+    // The overlay's IR is final from here on (array partition only
+    // re-types memrefs), so one access table serves the partition merge,
+    // the estimator and the schedule entries, and dies with this
+    // evaluation.
+    AccessTable accesses;
+
     // Array partition: merge every band's contribution — cached entries
     // for hit bands, freshly computed plans for overlay bands — with
     // applyArrayPartition's strictly-greater-factor-wins rule, keyed on
@@ -416,8 +422,8 @@ BandPlanner::overlayEvaluate(const DesignSpace::Decoded &d,
             }
         } else {
             auto nest = getLoopNest(current[b]);
-            auto accesses = collectAccesses(current[b], bandIVs(nest));
-            for (auto &[memref, group] : groupByMemRef(accesses)) {
+            for (auto &[memref, group] :
+                 groupByMemRef(accesses.get(current[b], bandIVs(nest)))) {
                 auto ri = reverse.find(memref);
                 if (ri == reverse.end())
                     return out;
@@ -454,7 +460,8 @@ BandPlanner::overlayEvaluate(const DesignSpace::Decoded &d,
         if (!out.auditFindings.empty())
             return out;
     }
-    QoREstimator estimator(overlay_module.get(), nullptr, estimates_);
+    QoREstimator estimator(overlay_module.get(), nullptr, estimates_,
+                           &accesses);
     estimator.estimateFunc(overlay_func);
     const auto &band_estimates = estimator.lastBandEstimates();
 
@@ -471,13 +478,15 @@ BandPlanner::overlayEvaluate(const DesignSpace::Decoded &d,
         if (it == band_estimates.end())
             return out; // Function-tier hit skipped the band walk.
         auto entry = buildBandScheduleEntry(current[b], it->second,
-                                            infos[b]->externals);
+                                            infos[b]->externals, accesses);
         if (!entry)
             return out;
         entry->origin = originOf(b);
         entries[b] = std::move(*entry);
         fresh[b] = true;
     }
+    out.accessBuilds = accesses.builds();
+    out.accessScopes = accesses.size();
 
     auto composed = composeAll(entries, ext_maps, &out);
     if (!composed)

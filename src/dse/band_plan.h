@@ -74,6 +74,12 @@ class BandPlanner
          * evaluations never answer from state an auditor rejected. */
         size_t auditChecks = 0;
         std::vector<VerifyError> auditFindings;
+        /** The overlay's access table once every consumer has read it
+         * (zero without an overlay): collectAccesses runs and distinct
+         * (scope, IV list) pairs. Equal when no pair was analyzed
+         * twice. */
+        size_t accessBuilds = 0;
+        size_t accessScopes = 0;
     };
 
     /** @p estimates (required, not owned) must outlive the planner.

@@ -53,7 +53,8 @@ CachingEvaluator::recordAuditFindings(
 
 void
 CachingEvaluator::insertScheduleEntries(
-    const DesignSpace::Partial &partial, const QoREstimator &estimator)
+    const DesignSpace::Partial &partial, const QoREstimator &estimator,
+    AccessTable &accesses)
 {
     // The cleanup pipeline may have erased bands (e.g. emptied bodies);
     // entries are only replayable when the phase-1 bands map 1:1 onto
@@ -75,7 +76,7 @@ CachingEvaluator::insertScheduleEntries(
             continue; // Function-tier hit skipped the band walk.
         auto entry = buildBandScheduleEntry(
             final_bands[i].front(), it->second,
-            partial.bandDigests[i]->externals);
+            partial.bandDigests[i]->externals, accesses);
         if (entry) {
             entry->origin =
                 funcName(partial.func) + "#" + std::to_string(i);
@@ -145,12 +146,15 @@ CachingEvaluator::evaluateFresh(const DesignSpace::Point &point,
         return result;
     }
 
-    QoREstimator estimator(module.get(), pool_, estimates_);
+    // The module is final: one access table serves the estimator and
+    // the schedule entries, and dies with this evaluation.
+    AccessTable accesses;
+    QoREstimator estimator(module.get(), pool_, estimates_, &accesses);
     result = finalize(estimator.estimateModule());
     // A mixed function whose call-carrying bands are masked out still
     // publishes entries for its digestable bands.
     if (estimates_ && partial.funcEligible)
-        insertScheduleEntries(partial, estimator);
+        insertScheduleEntries(partial, estimator, accesses);
     if (module_out)
         *module_out = std::move(module);
     return result;

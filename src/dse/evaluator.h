@@ -211,9 +211,11 @@ class CachingEvaluator : public Evaluator
                             std::unique_ptr<Operation> *module_out =
                                 nullptr);
     /** Publish the schedule-tier entries of a fully materialized,
-     * eligible point. */
+     * eligible point, reading band accesses from the evaluation's
+     * table. */
     void insertScheduleEntries(const DesignSpace::Partial &partial,
-                               const QoREstimator &estimator);
+                               const QoREstimator &estimator,
+                               AccessTable &accesses);
     /** Count + report audit findings (audit mode only). Returns true
      * when there was at least one finding. */
     bool recordAuditFindings(const std::vector<VerifyError> &findings);

@@ -24,6 +24,24 @@ addQoRSaturating(int64_t a, int64_t b)
     return sum >= kInfeasibleQoR ? kInfeasibleQoR : sum;
 }
 
+std::optional<int64_t>
+mulQoRChecked(int64_t a, int64_t b)
+{
+    int64_t product = 0;
+    if (__builtin_mul_overflow(a, b, &product) || product >= kInfeasibleQoR)
+        return std::nullopt;
+    return product;
+}
+
+std::optional<int64_t>
+addQoRChecked(int64_t a, int64_t b)
+{
+    int64_t sum = 0;
+    if (__builtin_add_overflow(a, b, &sum) || sum >= kInfeasibleQoR)
+        return std::nullopt;
+    return sum;
+}
+
 bool
 dominates(const QoRPoint &a, const QoRPoint &b)
 {

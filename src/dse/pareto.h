@@ -9,6 +9,7 @@
 #define SCALEHLS_DSE_PARETO_H
 
 #include <limits>
+#include <optional>
 #include <vector>
 
 #include "estimate/qor_estimator.h"
@@ -40,6 +41,14 @@ int64_t areaOf(const ResourceUsage &usage);
  * sum of feasible operands saturates at the sentinel instead of
  * exceeding it. Operands must be non-negative. */
 int64_t addQoRSaturating(int64_t a, int64_t b);
+
+/** Checked QoR arithmetic for cycle counts and trip-count products: the
+ * exact a * b (a + b), or nullopt when it would reach kInfeasibleQoR or
+ * overflow int64_t. The estimator turns nullopt into an infeasible
+ * point, so a latency that would have wrapped can never win a
+ * frontier. */
+std::optional<int64_t> mulQoRChecked(int64_t a, int64_t b);
+std::optional<int64_t> addQoRChecked(int64_t a, int64_t b);
 
 /** a dominates b: no worse in both objectives, strictly better in one.
  * Equal points (same latency AND same area) do not dominate each other —

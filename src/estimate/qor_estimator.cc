@@ -4,9 +4,11 @@
 #include <map>
 #include <numeric>
 #include <set>
+#include <unordered_map>
 #include <unordered_set>
 
 #include "analysis/loop_analysis.h"
+#include "dse/pareto.h"
 #include "estimate/estimate_cache.h"
 #include "support/thread_pool.h"
 #include "support/utils.h"
@@ -14,6 +16,31 @@
 namespace scalehls {
 
 namespace {
+
+/** Checked QoR arithmetic over one estimate: a result that would reach
+ * kInfeasibleQoR (or wrap) clears `feasible` and saturates at the
+ * sentinel instead. */
+struct CheckedQoR
+{
+    bool &feasible;
+
+    int64_t
+    mul(int64_t a, int64_t b)
+    {
+        return fold(mulQoRChecked(a, b));
+    }
+    int64_t
+    add(int64_t a, int64_t b)
+    {
+        return fold(addQoRChecked(a, b));
+    }
+    int64_t
+    fold(std::optional<int64_t> value)
+    {
+        feasible = feasible && value.has_value();
+        return value.value_or(kInfeasibleQoR);
+    }
+};
 
 /** Union-find over access indices for bank-conflict grouping. */
 class UnionFind
@@ -65,6 +92,52 @@ dedupeReads(const std::vector<const MemAccess *> &group)
     return out;
 }
 
+/** The largest bank component of @p accesses (normalized, of the plan's
+ * rank) when it is a residue bucket: no dim is block partitioned, and
+ * along every cyclic dim all accesses share one linear class. Two
+ * accesses then share a bank exactly when their constants agree modulo
+ * every cyclic factor — an equivalence, so the union-find components
+ * groupPressure builds pair by pair are the buckets of the residue
+ * vector, found by one sort. nullopt when the shape does not apply. */
+std::optional<int64_t>
+largestResidueBucket(const std::vector<const MemAccess *> &accesses,
+                     const PartitionPlan &plan)
+{
+    for (unsigned d = 0; d < plan.kinds.size(); ++d) {
+        if (plan.kinds[d] == PartitionKind::Block)
+            return std::nullopt;
+        if (plan.kinds[d] != PartitionKind::Cyclic)
+            continue;
+        int32_t cls = accesses.front()->linearClass[d];
+        for (const MemAccess *access : accesses)
+            if (cls == kNonLinearSubscript || access->linearClass[d] != cls)
+                return std::nullopt;
+    }
+    // Each access's residue vector as one mixed-radix bank number.
+    std::vector<int64_t> banks;
+    banks.reserve(accesses.size());
+    for (const MemAccess *access : accesses) {
+        int64_t bank = 0;
+        for (unsigned d = 0; d < plan.kinds.size(); ++d) {
+            if (plan.kinds[d] != PartitionKind::Cyclic)
+                continue;
+            int64_t factor = plan.factors[d];
+            if (factor <= 0 || __builtin_mul_overflow(bank, factor, &bank) ||
+                __builtin_add_overflow(
+                    bank, euclidMod(access->constant(d), factor), &bank))
+                return std::nullopt;
+        }
+        banks.push_back(bank);
+    }
+    std::sort(banks.begin(), banks.end());
+    int64_t largest = 0;
+    for (size_t i = 0, run = 0; i < banks.size(); ++i) {
+        run = i > 0 && banks[i] == banks[i - 1] ? run + 1 : 1;
+        largest = std::max(largest, static_cast<int64_t>(run));
+    }
+    return largest;
+}
+
 /** The port pressure of one access group: accesses that could hit the
  * same physical bank are joined (union-find), and the largest component
  * needs ceil(size / ports) cycles. Two accesses provably hit different
@@ -93,6 +166,8 @@ groupPressure(const std::vector<const MemAccess *> &accesses,
             one_component = true;
     if (one_component)
         return ceilDiv(static_cast<int64_t>(n), ports);
+    if (auto largest = largestResidueBucket(accesses, plan))
+        return ceilDiv(*largest, ports);
 
     std::vector<int64_t> block(rank, 0);
     for (unsigned d = 0; d < rank; ++d)
@@ -138,21 +213,22 @@ groupPressure(const std::vector<const MemAccess *> &accesses,
 } // namespace
 
 int64_t
-memoryPortII(Operation *scope, const std::vector<Value *> &band_ivs)
+memoryPortII(Operation *scope, const std::vector<Value *> &band_ivs,
+             AccessTable &accesses)
 {
     int64_t ii = 1;
-    auto accesses = collectAccesses(scope, band_ivs);
-    for (auto &[memref, group] : groupByMemRef(accesses)) {
+    for (auto &[memref, group] :
+         groupByMemRef(accesses.get(scope, band_ivs))) {
         Type t = memref->type();
         if (!t.isMemRef())
             continue;
         PartitionPlan plan = decodePartitionMap(t.layout(), t.shape());
         MemKind kind = t.memorySpace();
 
-        std::vector<const MemAccess *> reads;
-        std::vector<const MemAccess *> writes;
-        for (const MemAccess &access : group)
-            (access.isWrite ? writes : reads).push_back(&access);
+        AccessGroup reads;
+        AccessGroup writes;
+        for (const MemAccess *access : group)
+            (access->isWrite ? writes : reads).push_back(access);
         reads = dedupeReads(reads);
 
         if (kind == MemKind::BRAM_S2P || kind == MemKind::DRAM) {
@@ -206,10 +282,14 @@ QoREstimator::BlockEstimate
 QoREstimator::estimateBlock(Block *block, EstimateContext &ctx)
 {
     BlockEstimate result;
-    std::map<Operation *, int64_t> finish;
-    // Conservative memory ordering state.
-    std::map<Value *, std::vector<Operation *>> last_accesses;
-    std::map<Value *, Operation *> last_write;
+    CheckedQoR checked{result.feasible};
+    std::unordered_map<Operation *, int64_t> finish;
+    finish.reserve(block->size());
+    // Conservative memory ordering state, per memref: the latest finish
+    // of any prior access, and the finish of the last prior write.
+    std::unordered_map<Value *, int64_t> accessed_until;
+    std::unordered_map<Value *, int64_t> written_until;
+    std::vector<std::pair<Value *, bool>> touched;
 
     for (auto &op_ptr : block->ops()) {
         Operation *op = op_ptr.get();
@@ -221,26 +301,27 @@ QoREstimator::estimateBlock(Block *block, EstimateContext &ctx)
                 for (Value *operand : nested->operands()) {
                     Operation *def =
                         operand ? operand->definingOp() : nullptr;
-                    if (def && finish.count(def))
-                        start = std::max(start, finish[def]);
+                    if (auto it = finish.find(def); it != finish.end())
+                        start = std::max(start, it->second);
                 }
             };
         op->walk(scanOperands);
 
         // Memory dependencies: a write waits for all prior accesses of the
         // memref; any access waits for the last prior write.
-        std::vector<std::pair<Value *, bool>> touched;
+        touched.clear();
         op->walk([&](Operation *nested) {
             if (isMemoryAccess(nested))
                 touched.push_back(
                     {accessedMemRef(nested), isMemoryWrite(nested)});
         });
         for (auto [memref, is_write] : touched) {
-            if (auto it = last_write.find(memref); it != last_write.end())
-                start = std::max(start, finish[it->second]);
-            if (is_write)
-                for (Operation *prior : last_accesses[memref])
-                    start = std::max(start, finish[prior]);
+            if (auto it = written_until.find(memref);
+                it != written_until.end())
+                start = std::max(start, it->second);
+            if (auto it = accessed_until.find(memref);
+                is_write && it != accessed_until.end())
+                start = std::max(start, it->second);
         }
 
         int64_t latency = opLatency(op, ctx);
@@ -248,13 +329,16 @@ QoREstimator::estimateBlock(Block *block, EstimateContext &ctx)
             result.feasible = false;
             latency = 1;
         }
-        finish[op] = start + latency;
-        result.latency = std::max(result.latency, finish[op]);
+        int64_t done = checked.add(start, latency);
+        finish.emplace(op, done);
+        result.latency = std::max(result.latency, done);
 
         for (auto [memref, is_write] : touched) {
-            last_accesses[memref].push_back(op);
+            int64_t &until =
+                accessed_until.emplace(memref, done).first->second;
+            until = std::max(until, done);
             if (is_write)
-                last_write[memref] = op;
+                written_until[memref] = done;
         }
     }
     return result;
@@ -304,17 +388,25 @@ QoREstimator::opLatency(Operation *op, EstimateContext &ctx)
 
 int64_t
 QoREstimator::minLoopII(const std::vector<Operation *> &band,
-                        Operation *pipelined)
+                        Operation *pipelined, EstimateContext &ctx)
 {
+    // The latency walk and the resource walk both ask for each pipelined
+    // chain's II; the first answer serves both.
+    auto [memo, fresh] =
+        ctx.loopIIs.try_emplace(std::make_pair(band.front(), pipelined), 1);
+    if (!fresh)
+        return memo->second;
+    AccessTable &accesses = *ctx.accesses;
     int64_t ii = 1;
-    for (const Recurrence &rec : findRecurrences(band)) {
+    for (const Recurrence &rec : findRecurrences(band, accesses)) {
         int64_t path = recurrencePathLatency(rec.read, rec.store);
         if (path == 0)
             path = opProfile(rec.store).latency + 1;
         ii = std::max(ii, ceilDiv(path, std::max<int64_t>(
                                             1, rec.flatDistance)));
     }
-    ii = std::max(ii, memoryPortII(pipelined, bandIVs(band)));
+    ii = std::max(ii, memoryPortII(pipelined, bandIVs(band), accesses));
+    memo->second = ii;
     return ii;
 }
 
@@ -343,6 +435,7 @@ QoREstimator::estimateLoop(Operation *loop, EstimateContext &ctx)
     Operation *leaf = chain.back();
     LoopDirective leaf_directive = getLoopDirective(leaf);
 
+    CheckedQoR checked{result.feasible};
     if (leaf_directive.pipeline) {
         int64_t flat_trip = 1;
         for (Operation *member : chain) {
@@ -351,15 +444,16 @@ QoREstimator::estimateLoop(Operation *loop, EstimateContext &ctx)
                 result.feasible = false;
                 trip = 1;
             }
-            flat_trip *= *trip;
+            flat_trip = checked.mul(flat_trip, *trip);
         }
         BlockEstimate body = estimateBlock(AffineForOp(leaf).body(), ctx);
         result.feasible &= body.feasible;
-        int64_t ii =
-            std::max(leaf_directive.targetII, minLoopII(chain, leaf));
+        int64_t ii = std::max(leaf_directive.targetII,
+                              minLoopII(chain, leaf, ctx));
         // depth + II * (trip - 1), plus small pipeline control overhead.
-        result.latency = body.latency + ii * (flat_trip - 1) + 2;
-        result.interval = ii * flat_trip;
+        result.latency = checked.add(
+            checked.add(body.latency, checked.mul(ii, flat_trip - 1)), 2);
+        result.interval = checked.mul(ii, flat_trip);
         return result;
     }
 
@@ -372,13 +466,15 @@ QoREstimator::estimateLoop(Operation *loop, EstimateContext &ctx)
     }
     BlockEstimate body = estimateBlock(for_op.body(), ctx);
     result.feasible &= body.feasible;
-    result.latency = *trip * (body.latency + 1) + 2;
+    result.latency = checked.add(
+        checked.mul(*trip, checked.add(body.latency, 1)), 2);
     result.interval = result.latency;
     return result;
 }
 
 void
-QoREstimator::accountCompute(Operation *scope, BandEstimate &out)
+QoREstimator::accountCompute(Operation *scope, BandEstimate &out,
+                             EstimateContext &ctx)
 {
     // Pipelined leaf loops inside scope share operators across II
     // cycles: instances = ceil(count / II).
@@ -407,7 +503,7 @@ QoREstimator::accountCompute(Operation *scope, BandEstimate &out)
              parent = parent->parentOp())
             chain.insert(chain.begin(), parent);
         int64_t ii = std::max(getLoopDirective(leaf).targetII,
-                              minLoopII(chain, leaf));
+                              minLoopII(chain, leaf, ctx));
         for (const auto &[kind, count] : countsIn(leaf)) {
             const OpProfile &profile = out.profiles[kind];
             int64_t instances = ceilDiv(count, ii);
@@ -448,8 +544,8 @@ QoREstimator::estimateBand(Operation *band_root, EstimateContext &ctx)
     band.interval = loop.interval;
     band.feasible = loop.feasible;
     std::vector<Operation *> nest = getLoopNest(band_root);
-    band.memPortII = memoryPortII(band_root, bandIVs(nest));
-    accountCompute(band_root, band);
+    band.memPortII = memoryPortII(band_root, bandIVs(nest), *ctx.accesses);
+    accountCompute(band_root, band, ctx);
     return ctx.bands.emplace(band_root, std::move(band)).first->second;
 }
 
@@ -524,7 +620,7 @@ QoREstimator::funcResources(Operation *func, EstimateContext &ctx)
             merge.add(estimateBand(op.get(), ctx));
         } else {
             BandEstimate glue;
-            accountCompute(op.get(), glue);
+            accountCompute(op.get(), glue, ctx);
             merge.add(glue);
         }
     }
@@ -623,6 +719,7 @@ QoREstimator::prefetchCallees(Operation *func, EstimateContext &ctx)
     std::vector<EstimateContext> children(callees.size());
     std::vector<QoRResult> results(callees.size());
     for (size_t i = 0; i < callees.size(); ++i) {
+        children[i].accesses = ctx.accesses;
         children[i].active = ctx.active;
         children[i].active.insert(callees[i]);
         children[i].memo = ctx.memo;
@@ -663,6 +760,7 @@ QoREstimator::estimateFuncImpl(Operation *func, EstimateContext &ctx)
         int64_t total = 0;
         int64_t max_stage = 1;
         bool feasible = true;
+        CheckedQoR checked{feasible};
         for (auto &op : body->ops()) {
             int64_t latency = opLatency(op.get(), ctx);
             if (latency < 0) {
@@ -671,22 +769,19 @@ QoREstimator::estimateFuncImpl(Operation *func, EstimateContext &ctx)
             }
             if (op->is(ops::Call) || isLoop(op.get()))
                 max_stage = std::max(max_stage, latency);
-            total += latency;
+            total = checked.add(total, latency);
         }
-        result.latency = total + 2;
+        result.latency = checked.add(total, 2);
         result.interval = max_stage;
         result.feasible = feasible;
-    } else if (fd.pipeline) {
-        BlockEstimate est = estimateBlock(body, ctx);
-        result.latency = est.latency + 2;
-        result.interval =
-            std::max(fd.targetII, memoryPortII(func, {}));
-        result.feasible = est.feasible;
     } else {
         BlockEstimate est = estimateBlock(body, ctx);
-        result.latency = est.latency + 2;
-        result.interval = result.latency;
         result.feasible = est.feasible;
+        result.latency = CheckedQoR{result.feasible}.add(est.latency, 2);
+        result.interval = result.latency;
+        if (fd.pipeline)
+            result.interval = std::max(
+                fd.targetII, memoryPortII(func, {}, *ctx.accesses));
     }
 
     result.resources = funcResources(func, ctx);
@@ -703,7 +798,11 @@ QoREstimator::estimateFunc(Operation *func)
         return it->second;
 
     ensureDigests(func);
+    // Without an evaluation-owned table the run owns one: a later call
+    // may follow an IR rewrite (see invalidate()).
+    AccessTable run_accesses;
     EstimateContext ctx;
+    ctx.accesses = accesses_ ? accesses_ : &run_accesses;
     ctx.active.insert(func);
     QoRResult result = estimateFuncImpl(func, ctx);
 
@@ -827,6 +926,7 @@ composeScheduledQoR(const ScheduledFunction &function)
 
     QoRResult result;
     bool feasible = true;
+    CheckedQoR checked{feasible};
     if (function.dataflow) {
         // Replay estimateFuncImpl's dataflow composition: stages execute
         // overlapped across frames — the interval is the slowest stage,
@@ -840,10 +940,10 @@ composeScheduledQoR(const ScheduledFunction &function)
                 feasible = false;
                 latency = 1;
             }
-            total += latency;
+            total = checked.add(total, latency);
             max_stage = std::max(max_stage, latency);
         }
-        result.latency = total + 2;
+        result.latency = checked.add(total, 2);
         result.interval = max_stage;
         result.feasible = feasible;
     } else {
@@ -874,7 +974,7 @@ composeScheduledQoR(const ScheduledFunction &function)
                 feasible = false;
                 latency = 1;
             }
-            int64_t finish = start + latency;
+            int64_t finish = checked.add(start, latency);
             max_finish = std::max(max_finish, finish);
             for (const auto &m : band.entry->memrefs) {
                 if (!m.read && !m.write)
@@ -885,7 +985,7 @@ composeScheduledQoR(const ScheduledFunction &function)
                     last_write[v] = finish;
             }
         }
-        result.latency = max_finish + 2;
+        result.latency = checked.add(max_finish, 2);
         result.interval = result.latency;
         result.feasible = feasible;
     }
@@ -924,7 +1024,8 @@ composeScheduledQoR(const ScheduledFunction &function)
 
 std::optional<BandScheduleEntry>
 buildBandScheduleEntry(Operation *band_root, const BandEstimate &estimate,
-                       const std::vector<Value *> &externals)
+                       const std::vector<Value *> &externals,
+                       AccessTable &accesses)
 {
     BandScheduleEntry entry;
     entry.estimate = estimate;
@@ -943,12 +1044,12 @@ buildBandScheduleEntry(Operation *band_root, const BandEstimate &estimate,
     // computes it (computePartitionPlan reads subscripts and shape only,
     // so running it post-partition reproduces the pre-partition plan).
     auto nest = getLoopNest(band_root);
-    auto band_accesses = collectAccesses(band_root, bandIVs(nest));
     std::map<Value *, PartitionPlan> contribution;
-    for (auto &[memref, group] : groupByMemRef(band_accesses))
+    for (auto &[memref, group] :
+         groupByMemRef(accesses.get(band_root, bandIVs(nest))))
         contribution[memref] = computePartitionPlan(memref, group);
 
-    PartitionRelevance relevance = partitionRelevantDims(band_root);
+    PartitionRelevance relevance = partitionRelevantDims(band_root, accesses);
 
     std::set<Value *> memrefs;
     for (const auto &[memref, flags] : touched)

@@ -296,10 +296,14 @@ class QoREstimator
   public:
     /** @p pool (optional, not owned) fans callee estimation out;
      * @p shared (optional, not owned) is the cross-point cache, used at
-     * its function tier. */
+     * its function tier. @p accesses (optional, not owned) is the
+     * calling evaluation's access table, which then must not outlive
+     * the IR as estimated (see AccessTable); without one, every
+     * estimateFunc run builds its own. */
     explicit QoREstimator(Operation *module, ThreadPool *pool = nullptr,
-                          EstimateCache *shared = nullptr)
-        : module_(module), pool_(pool), shared_(shared)
+                          EstimateCache *shared = nullptr,
+                          AccessTable *accesses = nullptr)
+        : module_(module), pool_(pool), shared_(shared), accesses_(accesses)
     {}
 
     QoREstimator(const QoREstimator &) = delete;
@@ -337,6 +341,9 @@ class QoREstimator
      * path), so the core never races on hidden members. */
     struct EstimateContext
     {
+        /** The run's access table (shared with concurrent callee
+         * contexts). */
+        AccessTable *accesses = nullptr;
         /** Functions on the current call path (recursion guard). */
         std::set<const Operation *> active;
         /** Completed per-function results of this run. */
@@ -345,6 +352,9 @@ class QoREstimator
          * the resource walk of one function share a single band
          * computation. */
         std::map<Operation *, BandEstimate> bands;
+        /** Achieved minimum II per (flattened chain head, pipelined
+         * leaf) of this run, shared by the same two walks. */
+        std::map<std::pair<Operation *, Operation *>, int64_t> loopIIs;
     };
 
     struct LoopEstimate
@@ -385,12 +395,14 @@ class QoREstimator
     /** Fold the compute-resource account of @p scope (pipelined-leaf
      * sharing, sequential op counts, loop/call counts) into @p out.
      * Scope is a top-level band root or any other func-body op. */
-    void accountCompute(Operation *scope, BandEstimate &out);
+    void accountCompute(Operation *scope, BandEstimate &out,
+                        EstimateContext &ctx);
 
     /** Minimum legal II of a pipelined loop body given recurrences and
-     * memory port pressure (paper's achievable-II analysis). */
+     * memory port pressure (paper's achievable-II analysis), memoized
+     * in @p ctx per (chain head, pipelined leaf). */
     int64_t minLoopII(const std::vector<Operation *> &band,
-                      Operation *pipelined);
+                      Operation *pipelined, EstimateContext &ctx);
 
     /** Resource usage of a function (compute sharing under II, memories,
      * sub-function instances). */
@@ -409,6 +421,7 @@ class QoREstimator
     Operation *module_;
     ThreadPool *pool_ = nullptr;
     EstimateCache *shared_ = nullptr;
+    AccessTable *accesses_ = nullptr;
     EstimateDigests digests_;
     std::map<Operation *, QoRResult> cache_;
     std::map<Operation *, BandEstimate> last_bands_;
@@ -459,17 +472,19 @@ std::optional<QoRResult> composeScheduledQoR(
 
 /** Build the schedule entry of @p band_root (a top-level band of a fully
  * materialized, fast-path-eligible function) from its final estimate and
- * the phase-1 external-value table @p externals. Returns nullopt when
+ * the phase-1 external-value table @p externals, reading the band's
+ * accesses from the evaluation's table @p accesses. Returns nullopt when
  * the band's accesses cannot be mapped back onto the phase-1 externals
  * (the entry would not be replayable). */
 std::optional<BandScheduleEntry> buildBandScheduleEntry(
     Operation *band_root, const BandEstimate &estimate,
-    const std::vector<Value *> &externals);
+    const std::vector<Value *> &externals, AccessTable &accesses);
 
 /** Memory port pressure (min II imposed by bank conflicts) of the accesses
- * inside @p scope, normalized over @p band_ivs. Shared helper for the
- * estimator and the virtual HLS synthesizer. */
-int64_t memoryPortII(Operation *scope, const std::vector<Value *> &band_ivs);
+ * inside @p scope, normalized over @p band_ivs (read from @p accesses).
+ * Shared helper for the estimator and the virtual HLS synthesizer. */
+int64_t memoryPortII(Operation *scope, const std::vector<Value *> &band_ivs,
+                     AccessTable &accesses);
 
 /** Longest def-use path latency (cycles) from @p read's result to
  * @p store's stored value, both inclusive; 0 when no path exists. */

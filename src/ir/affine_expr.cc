@@ -1,6 +1,7 @@
 #include "ir/affine_expr.h"
 
 #include <cassert>
+#include <memory>
 
 #include "support/utils.h"
 
@@ -390,22 +391,92 @@ constantDiff(const AffineExpr &a, const AffineExpr &b)
     return std::nullopt;
 }
 
+namespace {
+
+/** The immortal leaves, built once (a thread-safe static) and never
+ * freed. Handles to them alias the node with an empty owner, so copying
+ * one does no refcount atomics: the access analyses copy these leaves
+ * into every subscript they rebuild, on every DSE worker at once. */
+class LeafTable
+{
+  public:
+    LeafTable()
+    {
+        for (unsigned d = 0; d < kImmortalDimExprs; ++d)
+            dims_[d] =
+                immortal(makeFreshAffineLeaf(AffineExprKind::DimId, d));
+        for (int64_t c = kImmortalConstMin; c <= kImmortalConstMax; ++c)
+            constants_[c - kImmortalConstMin] =
+                immortal(makeFreshAffineLeaf(AffineExprKind::Constant, c));
+    }
+
+    const AffineExpr &dim(unsigned position) const
+    {
+        return dims_[position];
+    }
+    const AffineExpr &constant(int64_t value) const
+    {
+        return constants_[value - kImmortalConstMin];
+    }
+
+    static const LeafTable &
+    get()
+    {
+        // Never destroyed: handles into the table may outlive any static
+        // destructor order.
+        static const LeafTable *table = new LeafTable();
+        return *table;
+    }
+
+  private:
+    /** Keep @p expr's node alive in owners_ and hand out a handle that
+     * aliases it without sharing ownership. */
+    AffineExpr
+    immortal(AffineExpr expr)
+    {
+        const AffineExprNode *node = &expr.node();
+        owners_.push_back(std::move(expr));
+        return AffineExpr(std::shared_ptr<const AffineExprNode>(
+            std::shared_ptr<const AffineExprNode>(), node));
+    }
+
+    std::vector<AffineExpr> owners_;
+    AffineExpr dims_[kImmortalDimExprs];
+    AffineExpr constants_[kImmortalConstMax - kImmortalConstMin + 1];
+};
+
+} // namespace
+
+AffineExpr
+makeFreshAffineLeaf(AffineExprKind kind, int64_t value)
+{
+    assert((kind == AffineExprKind::Constant ||
+            kind == AffineExprKind::DimId ||
+            kind == AffineExprKind::SymbolId) &&
+           "not a leaf kind");
+    return makeNode(kind, value, {}, {});
+}
+
 AffineExpr
 getAffineConstantExpr(int64_t value)
 {
-    return makeNode(AffineExprKind::Constant, value, {}, {});
+    if (value >= kImmortalConstMin && value <= kImmortalConstMax)
+        return LeafTable::get().constant(value);
+    return makeFreshAffineLeaf(AffineExprKind::Constant, value);
 }
 
 AffineExpr
 getAffineDimExpr(unsigned position)
 {
-    return makeNode(AffineExprKind::DimId, position, {}, {});
+    if (position < kImmortalDimExprs)
+        return LeafTable::get().dim(position);
+    return makeFreshAffineLeaf(AffineExprKind::DimId, position);
 }
 
 AffineExpr
 getAffineSymbolExpr(unsigned position)
 {
-    return makeNode(AffineExprKind::SymbolId, position, {}, {});
+    return makeFreshAffineLeaf(AffineExprKind::SymbolId, position);
 }
 
 AffineExpr

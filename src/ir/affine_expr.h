@@ -149,6 +149,15 @@ class AffineExprNode
     uint64_t linHash = 0; ///< Hash of linCoeffs (valid when linValid).
 };
 
+/** The leaves getAffineDimExpr and getAffineConstantExpr serve from a
+ * table of immortal nodes: dims d0..d(kImmortalDimExprs - 1) and the
+ * constants kImmortalConstMin..kImmortalConstMax. Handles to them carry
+ * no reference count, so copies across DSE workers do no atomics. They
+ * equal, hash and print exactly like freshly built nodes. */
+inline constexpr unsigned kImmortalDimExprs = 64;
+inline constexpr int64_t kImmortalConstMin = -128;
+inline constexpr int64_t kImmortalConstMax = 256;
+
 /** @name Factories (with local simplification) */
 ///@{
 AffineExpr getAffineConstantExpr(int64_t value);
@@ -156,6 +165,10 @@ AffineExpr getAffineDimExpr(unsigned position);
 AffineExpr getAffineSymbolExpr(unsigned position);
 AffineExpr getAffineBinaryExpr(AffineExprKind kind, AffineExpr lhs,
                                AffineExpr rhs);
+/** A newly allocated, reference-counted leaf (Constant, DimId or
+ * SymbolId): what the factories build outside the immortal range, and
+ * what the immortal table was built from. */
+AffineExpr makeFreshAffineLeaf(AffineExprKind kind, int64_t value);
 ///@}
 
 /** Constant difference a - b when provable (equal expressions, or both

@@ -78,11 +78,11 @@ Operation::~Operation()
     }
 }
 
-std::string
+std::string_view
 Operation::dialect() const
 {
-    auto pos = name_.find('.');
-    return pos == std::string::npos ? name_ : name_.substr(0, pos);
+    std::string_view name = name_;
+    return name.substr(0, name.find('.'));
 }
 
 void
@@ -169,11 +169,12 @@ Operation::replaceAllUsesWith(Operation *other)
         result(i)->replaceAllUsesWith(other->result(i));
 }
 
-Attribute
-Operation::attr(const std::string &name) const
+const Attribute &
+Operation::attr(std::string_view name) const
 {
+    static const Attribute null;
     auto it = attrs_.find(name);
-    return it == attrs_.end() ? Attribute() : it->second;
+    return it == attrs_.end() ? null : it->second;
 }
 
 Operation *
@@ -279,6 +280,10 @@ collectPostOrder(Operation *op, std::vector<Operation *> &out)
 void
 Operation::walk(const std::function<void(Operation *)> &fn)
 {
+    if (regions_.empty()) {
+        fn(this); // A leaf's snapshot is itself: skip building one.
+        return;
+    }
     std::vector<Operation *> ops;
     collectPreOrder(this, ops);
     for (Operation *op : ops)
@@ -288,6 +293,10 @@ Operation::walk(const std::function<void(Operation *)> &fn)
 void
 Operation::walkPostOrder(const std::function<void(Operation *)> &fn)
 {
+    if (regions_.empty()) {
+        fn(this);
+        return;
+    }
     std::vector<Operation *> ops;
     collectPostOrder(this, ops);
     for (Operation *op : ops)

@@ -90,8 +90,10 @@ class Value
     std::vector<Operation *> users_;
 };
 
-/** Ordered attribute dictionary (ordered for deterministic printing). */
-using AttrMap = std::map<std::string, Attribute>;
+/** Ordered attribute dictionary (ordered for deterministic printing).
+ * The transparent comparator lets lookups take a std::string_view, so
+ * reading an attribute by a `const char *` key builds no string. */
+using AttrMap = std::map<std::string, Attribute, std::less<>>;
 
 /** An operation: name + operands + results + attributes + regions. */
 class Operation
@@ -117,8 +119,9 @@ class Operation
 
     const std::string &name() const { return name_; }
     bool is(std::string_view n) const { return name_ == n; }
-    /** Dialect prefix, e.g. "affine" for "affine.for". */
-    std::string dialect() const;
+    /** Dialect prefix, e.g. "affine" for "affine.for" (a view into
+     * name()). */
+    std::string_view dialect() const;
 
     /** @name Operands */
     ///@{
@@ -148,12 +151,13 @@ class Operation
     /** @name Attributes */
     ///@{
     const AttrMap &attrs() const { return attrs_; }
-    bool hasAttr(const std::string &name) const
+    bool hasAttr(std::string_view name) const
     {
-        return attrs_.count(name) != 0;
+        return attrs_.find(name) != attrs_.end();
     }
-    /** The attribute or a null Attribute if absent. */
-    Attribute attr(const std::string &name) const;
+    /** The attribute, or a null Attribute if absent. The reference is
+     * valid until the attribute is next set or removed. */
+    const Attribute &attr(std::string_view name) const;
     void setAttr(const std::string &name, Attribute value)
     {
         attrs_[name] = std::move(value);

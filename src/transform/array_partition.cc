@@ -52,8 +52,7 @@ class PartitionAnalysis
             auto accesses = collectAccesses(band.front(), bandIVs(band));
             for (MemAccess &access : accesses)
                 access.memref = resolveRoot(access.memref);
-            for (auto &[memref, group] : groupByMemRef(accesses))
-                scopeGroups_[memref].push_back(std::move(group));
+            addScope(accesses);
         }
 
         // Straight-line accesses (outside every band) form one more scope.
@@ -70,8 +69,7 @@ class PartitionAnalysis
                 flat.push_back(std::move(access));
             }
         });
-        for (auto &[memref, group] : groupByMemRef(flat))
-            scopeGroups_[memref].push_back(std::move(group));
+        addScope(flat);
 
         // Recurse into callees with argument mapping. on_path_ guards
         // against call cycles (recursive designs would otherwise recurse
@@ -98,20 +96,17 @@ class PartitionAnalysis
         on_path_.erase(func);
     }
 
-    /** Compute per-scope plans and merge (max factor wins per dim). */
+    /** Merge the per-scope plans (max factor wins per dim). */
     std::map<Value *, PartitionPlan>
     mergedPlans() const
     {
         std::map<Value *, PartitionPlan> plans;
-        for (const auto &[memref, groups] : scopeGroups_) {
-            if (!memref->type().isMemRef())
-                continue;
+        for (const auto &[memref, scope_plans] : scopePlans_) {
             unsigned rank = memref->type().rank();
             PartitionPlan merged;
             merged.kinds.assign(rank, PartitionKind::None);
             merged.factors.assign(rank, 1);
-            for (const auto &group : groups) {
-                PartitionPlan plan = computePartitionPlan(memref, group);
+            for (const PartitionPlan &plan : scope_plans) {
                 for (unsigned d = 0; d < rank; ++d) {
                     if (plan.factors[d] > merged.factors[d]) {
                         merged.factors[d] = plan.factors[d];
@@ -133,8 +128,18 @@ class PartitionAnalysis
     }
 
   private:
+    /** Record one scope's plan per (root) memref it accesses. */
+    void
+    addScope(const std::vector<MemAccess> &accesses)
+    {
+        for (auto &[memref, group] : groupByMemRef(accesses))
+            if (memref->type().isMemRef())
+                scopePlans_[memref].push_back(
+                    computePartitionPlan(memref, group));
+    }
+
     Operation *module_;
-    std::map<Value *, std::vector<std::vector<MemAccess>>> scopeGroups_;
+    std::map<Value *, std::vector<PartitionPlan>> scopePlans_;
     std::map<Value *, std::vector<Value *>> aliases_;
     std::set<Operation *> on_path_;
 };

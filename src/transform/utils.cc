@@ -46,48 +46,56 @@ materializeExpr(OpBuilder &b, const AffineExpr &expr,
 
 AffineMap
 rebuildMapWithoutIV(const AffineMap &map, std::vector<Value *> &operands,
-                    Value *iv, const AffineExpr &repl,
+                    size_t first, size_t last, Value *iv,
+                    const AffineExpr &repl,
                     const std::vector<Value *> &repl_operands)
 {
-    // New operand list: old operands minus iv, plus repl_operands (deduped).
-    std::vector<Value *> new_operands;
+    // The new map operands (old ones minus iv, plus repl_operands,
+    // deduped) are appended behind the whole list, then rotated into
+    // [first, last) in place of the old ones.
+    size_t end = operands.size();
     auto operandDim = [&](Value *v) -> unsigned {
-        auto it = std::find(new_operands.begin(), new_operands.end(), v);
-        if (it != new_operands.end())
-            return it - new_operands.begin();
-        new_operands.push_back(v);
-        return new_operands.size() - 1;
+        auto fresh = operands.begin() + end;
+        auto it = std::find(fresh, operands.end(), v);
+        if (it == operands.end()) {
+            operands.push_back(v);
+            return operands.size() - 1 - end;
+        }
+        return it - fresh;
     };
 
-    std::vector<AffineExpr> dim_repls(operands.size());
-    for (unsigned p = 0; p < operands.size(); ++p) {
+    std::vector<AffineExpr> dim_repls(last - first);
+    for (size_t p = first; p < last; ++p) {
         if (operands[p] == iv) {
             // Compose repl with its operands mapped into new positions.
             std::vector<AffineExpr> inner(repl_operands.size());
             for (unsigned i = 0; i < repl_operands.size(); ++i)
                 inner[i] = getAffineDimExpr(operandDim(repl_operands[i]));
-            dim_repls[p] = repl.replaceDimsAndSymbols(inner);
+            dim_repls[p - first] = repl.replaceDimsAndSymbols(inner);
         } else {
-            dim_repls[p] = getAffineDimExpr(operandDim(operands[p]));
+            dim_repls[p - first] = getAffineDimExpr(operandDim(operands[p]));
         }
     }
 
-    AffineMap new_map = map.replaceDims(dim_repls, new_operands.size());
-    operands = new_operands;
+    AffineMap new_map = map.replaceDims(dim_repls, operands.size() - end);
+    operands.erase(operands.begin() + first, operands.begin() + last);
+    std::rotate(operands.begin() + first,
+                operands.begin() + first + (end - last), operands.end());
     return new_map;
 }
 
 namespace {
 
-/** Rewrite an IntegerSet the same way rebuildMapWithoutIV rewrites a map. */
+/** Rewrite an IntegerSet the same way rebuildMapWithoutIV rewrites a map,
+ * over the whole operand list. */
 IntegerSet
 rebuildSetWithoutIV(const IntegerSet &set, std::vector<Value *> &operands,
                     Value *iv, const AffineExpr &repl,
                     const std::vector<Value *> &repl_operands)
 {
     AffineMap map(set.numDims(), 0, set.constraints());
-    AffineMap new_map =
-        rebuildMapWithoutIV(map, operands, iv, repl, repl_operands);
+    AffineMap new_map = rebuildMapWithoutIV(map, operands, 0, operands.size(),
+                                            iv, repl, repl_operands);
     return IntegerSet(new_map.numDims(), new_map.results(), set.eqFlags());
 }
 
@@ -106,62 +114,56 @@ substituteIV(Operation *root, Value *iv, const AffineExpr &repl,
         return materialized;
     };
 
+    // One working copy of an op's operand list, reused across the walk;
+    // each rewrite edits its map's range of it in place.
+    std::vector<Value *> operands;
+    auto uses = [&](size_t first, size_t last) {
+        return std::find(operands.begin() + first, operands.begin() + last,
+                         iv) != operands.begin() + last;
+    };
     root->walk([&](Operation *op) {
-        bool uses_iv = false;
-        for (Value *operand : op->operands())
-            uses_iv |= (operand == iv);
-        if (!uses_iv)
+        const std::vector<Value *> &current = op->operands();
+        if (std::find(current.begin(), current.end(), iv) == current.end())
             return;
+        operands.assign(current.begin(), current.end());
 
         if (op->is(ops::AffineLoad) || op->is(ops::AffineStore)) {
-            bool is_load = op->is(ops::AffineLoad);
-            unsigned first = is_load ? 1 : 2;
-            std::vector<Value *> map_operands;
-            for (unsigned i = first; i < op->numOperands(); ++i)
-                map_operands.push_back(op->operand(i));
+            size_t first = op->is(ops::AffineLoad) ? 1 : 2;
             AffineMap new_map = rebuildMapWithoutIV(
-                op->attr(kMap).getAffineMap(), map_operands, iv, repl,
-                repl_operands);
-            std::vector<Value *> all;
-            if (is_load) {
-                all = {op->operand(0)};
-            } else {
-                all = {op->operand(0), op->operand(1)};
-            }
-            all.insert(all.end(), map_operands.begin(), map_operands.end());
-            op->setOperands(all);
-            op->setAttr(kMap, new_map);
+                op->attr(kMap).getAffineMap(), operands, first,
+                operands.size(), iv, repl, repl_operands);
+            op->setOperands(operands);
+            op->setAttr(kMap, std::move(new_map));
             return;
         }
         if (op->is(ops::AffineIf)) {
-            std::vector<Value *> operands = op->operands();
             IntegerSet new_set = rebuildSetWithoutIV(
                 AffineIfOp(op).condition(), operands, iv, repl,
                 repl_operands);
             op->setOperands(operands);
-            op->setAttr(kCondition, new_set);
+            op->setAttr(kCondition, std::move(new_set));
             return;
         }
         if (op->is(ops::AffineFor)) {
+            // Upper-bound operands trail the lower-bound ones: rewrite
+            // them first so the lower range's position stays put.
             AffineForOp for_op(op);
-            std::vector<Value *> lb_operands = for_op.lowerBoundOperands();
-            std::vector<Value *> ub_operands = for_op.upperBoundOperands();
-            AffineMap lb = for_op.lowerBoundMap();
-            AffineMap ub = for_op.upperBoundMap();
-            bool lb_uses = std::count(lb_operands.begin(), lb_operands.end(),
-                                      iv) > 0;
-            bool ub_uses = std::count(ub_operands.begin(), ub_operands.end(),
-                                      iv) > 0;
-            if (lb_uses)
-                lb = rebuildMapWithoutIV(lb, lb_operands, iv, repl,
-                                         repl_operands);
-            if (ub_uses)
-                ub = rebuildMapWithoutIV(ub, ub_operands, iv, repl,
-                                         repl_operands);
-            if (lb_uses || ub_uses) {
-                for_op.setLowerBound(lb, lb_operands);
-                for_op.setUpperBound(ub, ub_operands);
+            size_t num_lb = for_op.numLbOperands();
+            if (uses(num_lb, operands.size()))
+                op->setAttr(kUpperMap,
+                            rebuildMapWithoutIV(
+                                for_op.upperBoundMap(), operands, num_lb,
+                                operands.size(), iv, repl, repl_operands));
+            if (uses(0, num_lb)) {
+                size_t before = operands.size();
+                op->setAttr(kLowerMap,
+                            rebuildMapWithoutIV(for_op.lowerBoundMap(),
+                                                operands, 0, num_lb, iv,
+                                                repl, repl_operands));
+                num_lb += operands.size() - before;
+                op->setAttr(kLbCount, static_cast<int64_t>(num_lb));
             }
+            op->setOperands(operands);
             return;
         }
         // Plain SSA use: materialize the expression once.

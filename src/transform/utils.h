@@ -27,10 +27,13 @@ void substituteIV(Operation *root, Value *iv, const AffineExpr &repl,
                   const std::vector<Value *> &repl_operands,
                   OpBuilder &materialize_builder);
 
-/** Rewrite (map, operands) replacing uses of @p iv by @p repl over
- * @p repl_operands. Returns the new map; @p operands is updated. */
+/** Rewrite @p map, whose operands are @p operands[first, last),
+ * replacing uses of @p iv by @p repl over @p repl_operands. That range
+ * of @p operands is replaced in place by the new map's operands (the
+ * rest of the list is kept) and the new map is returned. */
 AffineMap rebuildMapWithoutIV(const AffineMap &map,
-                              std::vector<Value *> &operands, Value *iv,
+                              std::vector<Value *> &operands, size_t first,
+                              size_t last, Value *iv,
                               const AffineExpr &repl,
                               const std::vector<Value *> &repl_operands);
 

@@ -170,8 +170,8 @@ VirtualSynthesizer::scheduleLoop(Operation *loop)
         result.feasible &= body.feasible;
 
         int64_t ii = std::max<int64_t>(1, d.targetII);
-        for (const Recurrence &rec :
-             findRecurrences(std::vector<Operation *>(chain))) {
+        AccessTable accesses;
+        for (const Recurrence &rec : findRecurrences(chain, accesses)) {
             int64_t path = recurrencePathLatency(rec.read, rec.store);
             if (path == 0)
                 path = opProfile(rec.store).latency + 1;
@@ -179,7 +179,7 @@ VirtualSynthesizer::scheduleLoop(Operation *loop)
                           ceilDiv(path, std::max<int64_t>(
                                             1, rec.flatDistance)));
         }
-        ii = std::max(ii, memoryPortII(leaf, bandIVs(chain)));
+        ii = std::max(ii, memoryPortII(leaf, bandIVs(chain), accesses));
 
         // Vivado adds pipeline prologue/epilogue control states.
         result.latency = body.latency + ii * (flat_trip - 1) + 4;
@@ -230,9 +230,10 @@ VirtualSynthesizer::synthesizeFunc(Operation *func)
         RegionResult r = scheduleBlock(body, /*share_units=*/false);
         report.feasible &= r.feasible;
         report.latency = r.latency + 3;
+        AccessTable accesses;
         report.interval =
             std::max<int64_t>(std::max<int64_t>(1, fd.targetII),
-                              memoryPortII(func, {}));
+                              memoryPortII(func, {}, accesses));
     } else {
         RegionResult r = scheduleBlock(body, /*share_units=*/true);
         report.feasible &= r.feasible;

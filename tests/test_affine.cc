@@ -2,11 +2,99 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
+
 #include "ir/affine_map.h"
 #include "ir/integer_set.h"
 
 namespace scalehls {
 namespace {
+
+// Defined first so that, in file order, it makes the process's first
+// factory calls: the immortal leaf table is built on first use, and
+// this is the race the TSan job checks.
+TEST(AffineExpr, ImmortalLeafTableFirstUseFromManyThreads)
+{
+    constexpr int kThreads = 4;
+    constexpr size_t kLeaves =
+        kImmortalDimExprs + (kImmortalConstMax - kImmortalConstMin + 1);
+    std::vector<std::vector<const AffineExprNode *>> seen(kThreads);
+    std::vector<AffineExpr> built(kThreads);
+    std::vector<std::thread> workers;
+    for (int t = 0; t < kThreads; ++t) {
+        workers.emplace_back([&, t] {
+            auto &out = seen[t];
+            for (unsigned d = 0; d < kImmortalDimExprs; ++d)
+                out.push_back(&getAffineDimExpr(d).node());
+            for (int64_t c = kImmortalConstMin; c <= kImmortalConstMax; ++c)
+                out.push_back(&getAffineConstantExpr(c).node());
+            // A tree over table leaves, handed back to the main thread.
+            built[t] = getAffineDimExpr(5) * 4 + 3;
+        });
+    }
+    for (auto &w : workers)
+        w.join();
+    ASSERT_EQ(seen[0].size(), kLeaves);
+    for (int t = 1; t < kThreads; ++t)
+        EXPECT_EQ(seen[t], seen[0]) << "thread " << t;
+    AffineExpr expected = getAffineDimExpr(5) * 4 + 3;
+    for (int t = 0; t < kThreads; ++t) {
+        EXPECT_TRUE(built[t].equals(expected)) << "thread " << t;
+        EXPECT_EQ(&built[t].lhs().lhs().node(), &expected.lhs().lhs().node());
+    }
+}
+
+/** @p leaf agrees with @p fresh (a newly allocated node of the same
+ * leaf) on everything the analyses and digests read. */
+void
+expectSameLeaf(const AffineExpr &leaf, const AffineExpr &fresh)
+{
+    std::string label = fresh.toString();
+    EXPECT_TRUE(leaf.equals(fresh)) << label;
+    EXPECT_TRUE(fresh.equals(leaf)) << label;
+    EXPECT_EQ(leaf.hash(), fresh.hash()) << label;
+    EXPECT_EQ(leaf->linValid, fresh->linValid) << label;
+    EXPECT_EQ(leaf->linHash, fresh->linHash) << label;
+    EXPECT_EQ(leaf->linCoeffs, fresh->linCoeffs) << label;
+    EXPECT_EQ(leaf->linConst, fresh->linConst) << label;
+    EXPECT_EQ(leaf.toString(), label);
+}
+
+TEST(AffineExpr, ImmortalLeavesMatchFreshNodes)
+{
+    // Inside the table, both ends, and just outside it.
+    for (unsigned d : {0u, 1u, kImmortalDimExprs - 1, kImmortalDimExprs,
+                       kImmortalDimExprs + 1})
+        expectSameLeaf(getAffineDimExpr(d),
+                       makeFreshAffineLeaf(AffineExprKind::DimId, d));
+    for (int64_t c : {kImmortalConstMin - 1, kImmortalConstMin,
+                      int64_t(-1), int64_t(0), int64_t(1),
+                      kImmortalConstMax, kImmortalConstMax + 1})
+        expectSameLeaf(getAffineConstantExpr(c),
+                       makeFreshAffineLeaf(AffineExprKind::Constant, c));
+
+    // Table leaves are shared nodes; leaves outside it are not.
+    EXPECT_EQ(&getAffineDimExpr(3).node(), &getAffineDimExpr(3).node());
+    EXPECT_EQ(&getAffineConstantExpr(7).node(),
+              &getAffineConstantExpr(7).node());
+    EXPECT_NE(&getAffineDimExpr(kImmortalDimExprs).node(),
+              &getAffineDimExpr(kImmortalDimExprs).node());
+    EXPECT_NE(&getAffineConstantExpr(kImmortalConstMax + 1).node(),
+              &getAffineConstantExpr(kImmortalConstMax + 1).node());
+
+    // Trees over table leaves equal trees over fresh ones.
+    AffineExpr shared = getAffineDimExpr(2) * 3 + 5;
+    AffineExpr fresh = getAffineBinaryExpr(
+        AffineExprKind::Add,
+        getAffineBinaryExpr(AffineExprKind::Mul,
+                            makeFreshAffineLeaf(AffineExprKind::DimId, 2),
+                            makeFreshAffineLeaf(AffineExprKind::Constant, 3)),
+        makeFreshAffineLeaf(AffineExprKind::Constant, 5));
+    EXPECT_TRUE(shared.equals(fresh));
+    EXPECT_EQ(shared.hash(), fresh.hash());
+    EXPECT_EQ(shared->linHash, fresh->linHash);
+    EXPECT_EQ(shared.toString(), fresh.toString());
+}
 
 TEST(AffineExpr, ConstantFolding)
 {

@@ -10,6 +10,9 @@
 
 #include "analysis/buffer_analysis.h"
 #include "analysis/memory_analysis.h"
+#include "dse/band_plan.h"
+#include "dse/design_space.h"
+#include "estimate/estimate_cache.h"
 #include "estimate/qor_estimator.h"
 #include "frontend/irgen.h"
 #include "ir/builder.h"
@@ -115,8 +118,10 @@ TEST(MemoryAnalysis, PartitionMetricCyclic)
     Operation *func = getTopFunc(module.get());
     auto band = getLoopBands(func)[0];
     auto accesses = collectAccesses(band[0], bandIVs(band));
-    Value *memref = accesses[0].memref;
-    PartitionPlan plan = computePartitionPlan(memref, accesses);
+    auto groups = groupByMemRef(accesses);
+    ASSERT_EQ(groups.size(), 1u);
+    PartitionPlan plan =
+        computePartitionPlan(groups[0].first, groups[0].second);
     EXPECT_EQ(plan.kinds[0], PartitionKind::Cyclic);
     EXPECT_EQ(plan.factors[0], 2);
     EXPECT_EQ(plan.kinds[1], PartitionKind::None);
@@ -136,8 +141,10 @@ TEST(MemoryAnalysis, PartitionMetricBlock)
     Operation *func = getTopFunc(module.get());
     auto band = getLoopBands(func)[0];
     auto accesses = collectAccesses(band[0], bandIVs(band));
+    auto groups = groupByMemRef(accesses);
+    ASSERT_EQ(groups.size(), 1u);
     PartitionPlan plan =
-        computePartitionPlan(accesses[0].memref, accesses);
+        computePartitionPlan(groups[0].first, groups[0].second);
     EXPECT_EQ(plan.kinds[0], PartitionKind::Block);
     EXPECT_EQ(plan.factors[0], 2);
 }
@@ -177,7 +184,8 @@ TEST(MemoryAnalysis, RecurrenceDetection)
     auto module = affineModule(polybenchSource("gemm", 16));
     Operation *func = getTopFunc(module.get());
     auto band = getLoopBands(func)[0];
-    auto recurrences = findRecurrences(band);
+    AccessTable accesses;
+    auto recurrences = findRecurrences(band, accesses);
     ASSERT_FALSE(recurrences.empty());
     bool carried_by_k = false;
     for (const Recurrence &rec : recurrences)
@@ -194,7 +202,8 @@ TEST(MemoryAnalysis, NoRecurrenceWhenAllDimsUsed)
                                "}");
     Operation *func = getTopFunc(module.get());
     auto band = getLoopBands(func)[0];
-    EXPECT_TRUE(findRecurrences(band).empty());
+    AccessTable accesses;
+    EXPECT_TRUE(findRecurrences(band, accesses).empty());
 }
 
 /** Band roots of a function (analysis entry points). */
@@ -562,12 +571,12 @@ refMemoryPortII(Operation *scope, const std::vector<Value *> &band_ivs)
         MemKind kind = t.memorySpace();
         std::vector<MemAccess> reads, writes;
         std::set<std::string> seen;
-        for (const MemAccess &access : group) {
-            if (access.isWrite)
-                writes.push_back(access);
-            else if (!access.normalized ||
-                     seen.insert(refSubscriptKey(access)).second)
-                reads.push_back(access);
+        for (const MemAccess *access : group) {
+            if (access->isWrite)
+                writes.push_back(*access);
+            else if (!access->normalized ||
+                     seen.insert(refSubscriptKey(*access)).second)
+                reads.push_back(*access);
         }
         if (kind == MemKind::BRAM_S2P || kind == MemKind::DRAM) {
             ii = std::max(ii, refGroupPressure(reads, plan, t.shape(),
@@ -598,11 +607,11 @@ refPartitionRelevantDims(Operation *band_root)
                 relevant.emplace(memref, std::vector<bool>(rank, false))
                     .first->second;
             for (size_t i = 0; i < group.size(); ++i) {
-                const MemAccess &a = group[i];
+                const MemAccess &a = *group[i];
                 if (!a.normalized || a.indices.size() != rank)
                     continue;
                 for (size_t j = i + 1; j < group.size(); ++j) {
-                    const MemAccess &b = group[j];
+                    const MemAccess &b = *group[j];
                     if (!b.normalized || b.indices.size() != rank)
                         continue;
                     for (unsigned d = 0; d < rank; ++d) {
@@ -631,8 +640,7 @@ refPartitionRelevantDims(Operation *band_root)
 }
 
 PartitionPlan
-refComputePartitionPlan(Value *memref,
-                        const std::vector<MemAccess> &accesses)
+refComputePartitionPlan(Value *memref, const AccessGroup &accesses)
 {
     const auto &shape = memref->type().shape();
     unsigned rank = shape.size();
@@ -641,19 +649,19 @@ refComputePartitionPlan(Value *memref,
     plan.factors.assign(rank, 1);
 
     std::vector<const MemAccess *> unique;
-    for (const MemAccess &access : accesses) {
+    for (const MemAccess *access : accesses) {
         bool duplicate = false;
         for (const MemAccess *seen : unique) {
-            if (!access.normalized || !seen->normalized ||
-                seen->indices.size() != access.indices.size())
+            if (!access->normalized || !seen->normalized ||
+                seen->indices.size() != access->indices.size())
                 continue;
             bool equal = true;
-            for (unsigned i = 0; i < access.indices.size(); ++i)
-                equal &= refEquals(seen->indices[i], access.indices[i]);
+            for (unsigned i = 0; i < access->indices.size(); ++i)
+                equal &= refEquals(seen->indices[i], access->indices[i]);
             duplicate |= equal;
         }
         if (!duplicate)
-            unique.push_back(&access);
+            unique.push_back(access);
     }
     if (unique.size() < 2)
         return plan;
@@ -790,17 +798,18 @@ productionFacts(Operation *band_root)
 {
     auto nest = getLoopNest(band_root);
     AnalysisFacts facts;
-    facts.portII = memoryPortII(band_root, bandIVs(nest));
-    facts.flatPortII = memoryPortII(band_root, {});
-    facts.relevance = partitionRelevantDims(band_root);
-    auto accesses = collectAccesses(band_root, bandIVs(nest));
-    for (auto &[memref, group] : groupByMemRef(accesses)) {
+    AccessTable accesses;
+    facts.portII = memoryPortII(band_root, bandIVs(nest), accesses);
+    facts.flatPortII = memoryPortII(band_root, {}, accesses);
+    facts.relevance = partitionRelevantDims(band_root, accesses);
+    for (auto &[memref, group] :
+         groupByMemRef(accesses.get(band_root, bandIVs(nest)))) {
         if (!memref->type().isMemRef())
             continue;
         PartitionPlan plan = computePartitionPlan(memref, group);
         facts.plans.emplace_back(plan.kinds, plan.factors);
     }
-    for (const Recurrence &rec : findRecurrences(nest))
+    for (const Recurrence &rec : findRecurrences(nest, accesses))
         facts.recurrences.emplace_back(rec.store, rec.read,
                                        rec.carriedLevel, rec.flatDistance);
     std::sort(facts.recurrences.begin(), facts.recurrences.end());
@@ -1128,8 +1137,10 @@ TEST_P(PartitionFactorProperty, FactorBounded)
     Operation *func = getTopFunc(module.get());
     auto band = getLoopBands(func)[0];
     auto accesses = collectAccesses(band[0], bandIVs(band));
+    auto groups = groupByMemRef(accesses);
+    ASSERT_EQ(groups.size(), 1u);
     PartitionPlan plan =
-        computePartitionPlan(accesses[0].memref, accesses);
+        computePartitionPlan(groups[0].first, groups[0].second);
     EXPECT_LE(plan.factors[0], 8);
     EXPECT_EQ(plan.factors[0], std::min(unroll, 8));
     if (unroll > 1)
@@ -1138,6 +1149,155 @@ TEST_P(PartitionFactorProperty, FactorBounded)
 
 INSTANTIATE_TEST_SUITE_P(Sweep, PartitionFactorProperty,
                          ::testing::Values(1, 2, 4, 8));
+
+/** The six Table III kernels. */
+const char *const kTableIIIKernels[] = {"bicg",  "gemm", "gesummv",
+                                        "syr2k", "syrk", "trmm"};
+
+/** Seed points plus, for each, a variant with every band's tiles and
+ * target II at their second candidate (pipelined, tiled leaves). */
+std::vector<DesignSpace::Point>
+sampledPoints(const DesignSpace &space)
+{
+    std::vector<DesignSpace::Point> points = space.canonicalSeedPoints();
+    size_t seeds = points.size();
+    for (size_t p = 0; p < seeds; ++p) {
+        DesignSpace::Point variant = points[p];
+        for (size_t b = 0; b < space.numBands(); ++b)
+            for (size_t d = space.dimFirstTile(b); d <= space.dimTargetII(b);
+                 ++d)
+                variant[d] = std::min(1, space.dimSizes()[d] - 1);
+        points.push_back(variant);
+    }
+    return points;
+}
+
+/** The (scope, IV list) pairs an evaluation's consumers read for the
+ * band rooted at @p root: the band over its nest IVs, and per
+ * pipelined leaf its flattened chain's IVs from the leaf (port
+ * pressure) and from the chain's outermost loop (recurrences). */
+std::vector<std::pair<Operation *, std::vector<Value *>>>
+consumerScopes(Operation *root)
+{
+    std::vector<std::pair<Operation *, std::vector<Value *>>> scopes;
+    scopes.emplace_back(root, bandIVs(getLoopNest(root)));
+    root->walk([&](Operation *op) {
+        if (!op->is(ops::AffineFor) || !getLoopDirective(op).pipeline)
+            return;
+        std::vector<Operation *> chain = {op};
+        for (Operation *parent = op->parentOp();
+             isa(parent, ops::AffineFor) &&
+             getLoopDirective(parent).flatten;
+             parent = parent->parentOp())
+            chain.insert(chain.begin(), parent);
+        scopes.emplace_back(op, bandIVs(chain));
+        scopes.emplace_back(chain.front(), bandIVs(chain));
+    });
+    return scopes;
+}
+
+void
+expectSameAccesses(const std::vector<MemAccess> &shared,
+                   const std::vector<MemAccess> &fresh,
+                   const std::string &label)
+{
+    ASSERT_EQ(shared.size(), fresh.size()) << label;
+    for (size_t i = 0; i < fresh.size(); ++i) {
+        const MemAccess &a = shared[i];
+        const MemAccess &b = fresh[i];
+        EXPECT_EQ(a.op, b.op) << label << " #" << i;
+        EXPECT_EQ(a.memref, b.memref) << label << " #" << i;
+        EXPECT_EQ(a.isWrite, b.isWrite) << label << " #" << i;
+        EXPECT_EQ(a.normalized, b.normalized) << label << " #" << i;
+        EXPECT_EQ(a.linearClass, b.linearClass) << label << " #" << i;
+        ASSERT_EQ(a.indices.size(), b.indices.size()) << label;
+        for (size_t d = 0; d < a.indices.size(); ++d)
+            EXPECT_TRUE(a.indices[d].equals(b.indices[d]))
+                << label << " #" << i << " dim " << d << ": "
+                << a.indices[d].toString() << " vs "
+                << b.indices[d].toString();
+    }
+}
+
+TEST(AccessTable, MatchesCollectAccessesAfterScheduleBandAndPartition)
+{
+    // The evaluation builds its table once the IR is final and array
+    // partition re-types memrefs afterwards: every entry must still be
+    // exactly what collectAccesses returns on the re-typed IR.
+    for (const char *kernel : kTableIIIKernels) {
+        auto pristine = affineModule(polybenchSource(kernel, 16));
+        DesignSpace space(pristine.get());
+        std::vector<DesignSpace::Point> points = sampledPoints(space);
+        for (size_t p = 0; p < points.size(); ++p) {
+            std::string label =
+                std::string(kernel) + " point " + std::to_string(p);
+            auto module = pristine->clone();
+            Operation *func = getTopFunc(module.get());
+            DesignSpace::Decoded decoded = space.decode(points[p]);
+            std::vector<Operation *> roots;
+            for (const auto &band : getLoopBands(func))
+                roots.push_back(band.front());
+            ASSERT_EQ(roots.size(), space.numBands()) << label;
+            bool scheduled = true;
+            for (size_t b = 0; b < roots.size() && scheduled; ++b) {
+                roots[b] = DesignSpace::scheduleBand(roots[b], decoded, b);
+                scheduled = roots[b] != nullptr;
+            }
+            if (!scheduled)
+                continue; // Not materializable; nothing is analyzed.
+
+            AccessTable table;
+            std::vector<std::pair<Operation *, std::vector<Value *>>> all;
+            for (Operation *root : roots)
+                for (auto &scope : consumerScopes(root))
+                    all.push_back(std::move(scope));
+            for (const auto &[scope, ivs] : all)
+                table.get(scope, ivs);
+            applyArrayPartition(func);
+            for (const auto &[scope, ivs] : all)
+                expectSameAccesses(table.get(scope, ivs),
+                                   collectAccesses(scope, ivs), label);
+            EXPECT_EQ(table.builds(), table.size()) << label;
+            EXPECT_LE(table.size(), all.size()) << label;
+        }
+    }
+}
+
+TEST(AccessTable, OverlayEvaluationBuildsEachScopeOnce)
+{
+    // A cold overlay evaluation analyzes every (scope, IV list) pair its
+    // consumers read exactly once: the planner's partition merge, the
+    // estimator (band port pressure, each pipelined leaf's recurrences
+    // and port pressure, from both the latency and the resource walk)
+    // and the schedule entries' relevance all share the one table.
+    for (const char *kernel : kTableIIIKernels) {
+        auto pristine = affineModule(polybenchSource(kernel, 16));
+        DesignSpace space(pristine.get());
+        size_t overlays = 0;
+        for (const DesignSpace::Point &point : sampledPoints(space)) {
+            EstimateCache cache;
+            BandPlanner planner(space, &cache);
+            ASSERT_TRUE(planner.enabled()) << kernel;
+            BandPlanner::Outcome outcome = planner.evaluate(point);
+            if (outcome.kind != BandPlanner::Outcome::Kind::Composed ||
+                !outcome.usedOverlay)
+                continue;
+            ++overlays;
+
+            // The distinct pairs, read off the same point's full
+            // materialization (bit-identical band content).
+            auto module = space.materialize(point);
+            ASSERT_TRUE(module) << kernel;
+            std::set<std::pair<Operation *, std::vector<Value *>>> scopes;
+            for (const auto &band : getLoopBands(getTopFunc(module.get())))
+                for (auto &scope : consumerScopes(band.front()))
+                    scopes.insert(std::move(scope));
+            EXPECT_EQ(outcome.accessScopes, scopes.size()) << kernel;
+            EXPECT_EQ(outcome.accessBuilds, outcome.accessScopes) << kernel;
+        }
+        EXPECT_GT(overlays, 0u) << kernel;
+    }
+}
 
 } // namespace
 } // namespace scalehls

@@ -117,16 +117,19 @@ TEST(Estimator, PortConflictsRaiseII)
                                "}");
     Operation *func = getTopFunc(module.get());
     auto band = getLoopBands(func)[0];
-    int64_t ii_unpartitioned = memoryPortII(band[0], bandIVs(band));
+    AccessTable accesses;
+    int64_t ii_unpartitioned =
+        memoryPortII(band[0], bandIVs(band), accesses);
     EXPECT_GE(ii_unpartitioned, 4);
 
-    // Cyclic partition by 4 removes the conflicts.
+    // Cyclic partition by 4 removes the conflicts. Partitioning only
+    // re-types the memref, so the access table stays valid.
     Value *a_arg = funcBody(func)->argument(0);
     PartitionPlan plan;
     plan.kinds = {PartitionKind::Cyclic};
     plan.factors = {4};
     applyPartitionPlan(a_arg, plan);
-    int64_t ii_partitioned = memoryPortII(band[0], bandIVs(band));
+    int64_t ii_partitioned = memoryPortII(band[0], bandIVs(band), accesses);
     EXPECT_EQ(ii_partitioned, 1);
 }
 
@@ -532,7 +535,8 @@ TEST(Estimator, PartitionRelevantDimsAndLayoutKeying)
                       AffineMap::identity(1), {loop.inductionVar()});
 
     Operation *band = getLoopBands(func)[0][0];
-    auto masks = partitionRelevantDims(band);
+    AccessTable accesses;
+    auto masks = partitionRelevantDims(band, accesses);
     ASSERT_TRUE(masks.count(a));
     ASSERT_TRUE(masks.count(b_arg));
     EXPECT_TRUE(masks.at(a)[0]);

@@ -168,7 +168,8 @@ TEST(OrderOpt, GemmPushesReductionOutward)
     // After reordering, the innermost loop must not carry the C[i][j]
     // recurrence: its IV appears in the C subscripts.
     band = getLoopNest(band[0]);
-    auto recurrences = findRecurrences(band);
+    AccessTable accesses;
+    auto recurrences = findRecurrences(band, accesses);
     for (const Recurrence &rec : recurrences)
         EXPECT_GT(rec.flatDistance, 1) << "recurrence still innermost";
 }

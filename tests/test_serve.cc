@@ -431,6 +431,29 @@ TEST(ServeTest, BadKernelIndexAndSizeAreRejectedWithoutSideEffects)
     EXPECT_EQ(session.completedRequests(), 2u);
 }
 
+TEST(ServeTest, OverflowingSizeAnswersInfeasibleWithoutAWrappedFrontier)
+{
+    // gemm at n = 2^31 - 1 needs ~n^3 cycles, far beyond int64_t: every
+    // trip-count x latency product overflows. Checked QoR arithmetic
+    // makes each such point infeasible, so the reply says so and no
+    // frontier latency can fall below the true bound (it used to report
+    // a wrapped frontier of latency 2).
+    ServeSession session(isolatedOptions());
+    JsonValue reply = parsed(session.handleLine(
+        "{\"id\":1,\"kind\":\"polybench\",\"kernel\":\"gemm\","
+        "\"size\":2147483647,\"samples\":2,\"iterations\":2}"));
+    EXPECT_TRUE(boolAt(reply, "ok"));
+    EXPECT_FALSE(boolAt(reply, "feasible"));
+    if (const JsonValue *qor = reply.get("qor")) {
+        EXPECT_GE(intAt(*qor, "latency"), kInfeasibleQoR);
+    }
+    if (const JsonValue *frontier = reply.get("frontier");
+        frontier && intAt(*frontier, "size") > 0) {
+        EXPECT_GE(intAt(*frontier, "min_latency"), kInfeasibleQoR);
+        EXPECT_GE(intAt(*frontier, "max_latency"), kInfeasibleQoR);
+    }
+}
+
 TEST(ServeTest, MalformedCacheCapIsAnErrorReply)
 {
     // An overflowing count and the retired four-field spec both answer
